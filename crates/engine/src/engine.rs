@@ -113,8 +113,9 @@ pub struct EngineConfig {
     pub plan_cache: bool,
     /// Compile return items, group keys, and aggregate arguments to dense
     /// variable/event slot indices before the tuple loop, replacing the
-    /// per-tuple `RowCtx` hash maps with indexed flat arrays (and
-    /// materializing only the event slots the projection actually reads).
+    /// per-tuple `RowCtx` hash maps with indexed flat arrays: only the
+    /// event columns the projection reads are read, and distinct and group
+    /// by hash typed keys instead of formatted strings.
     pub compiled_projection: bool,
     /// Minimum estimated scan size before partition-parallelism kicks in
     /// (thread fan-out is pure overhead for tiny scans).

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use aiql_lang::{BinOp, Expr, Literal};
-use aiql_model::{EntityId, Event, Value};
+use aiql_model::{EntityId, Event, EventAttr, Value};
 use aiql_storage::EventStore;
 
 use crate::error::EngineError;
@@ -109,12 +109,13 @@ pub enum SlotExpr {
     /// A literal, resolved once (string literals to their dictionary
     /// symbol — the store is immutable for the duration of a query).
     Const(Value),
-    /// Event attribute through the pattern's event slot.
+    /// Event attribute through the pattern's event slot, resolved to its
+    /// column at compile time.
     Event {
         /// Pattern index.
         slot: usize,
-        /// Resolved attribute name (`id` when the reference was bare).
-        attr: String,
+        /// Resolved attribute (`id` when the reference was bare).
+        attr: EventAttr,
         /// Source variable name (for error parity with the dynamic path).
         name: String,
     },
@@ -159,8 +160,10 @@ pub enum SlotExpr {
 pub struct SlotRow {
     /// Entity id per variable slot.
     pub entities: Vec<Option<EntityId>>,
-    /// Materialized event per pattern slot.
-    pub events: Vec<Option<Event>>,
+    /// Event attribute values, [`EventAttr::COUNT`] cells per pattern slot
+    /// (see [`SlotRow::event_cell`]); only the (pattern, attribute) pairs
+    /// the projection reads are filled.
+    pub event_attrs: Vec<Option<Value>>,
     /// Alias values of already-evaluated return items.
     pub aliases: Vec<Option<Value>>,
     /// Aggregate values, parallel to the query's dense aggregate list.
@@ -172,10 +175,16 @@ impl SlotRow {
     pub fn new(nvars: usize, npatterns: usize, naliases: usize, naggs: usize) -> Self {
         SlotRow {
             entities: vec![None; nvars],
-            events: vec![None; npatterns],
+            event_attrs: vec![None; npatterns * EventAttr::COUNT],
             aliases: vec![None; naliases],
             aggs: vec![Value::Null; naggs],
         }
+    }
+
+    /// Index of pattern `slot`'s `attr` cell in [`SlotRow::event_attrs`].
+    #[inline]
+    pub fn event_cell(slot: usize, attr: EventAttr) -> usize {
+        slot * EventAttr::COUNT + attr.index()
     }
 }
 
@@ -194,9 +203,10 @@ pub struct SlotEnv<'a> {
 }
 
 /// Compiles an expression against a slot environment. Returns `None` when
-/// the expression cannot be slot-compiled (unknown name, historical access)
-/// — callers fall back to the dynamic [`eval`] path, which reproduces the
-/// legacy behavior including its error messages.
+/// the expression cannot be slot-compiled (unknown name, unknown event
+/// attribute, historical access) — callers fall back to the dynamic
+/// [`eval`] path, which reproduces the legacy behavior including its error
+/// messages.
 pub fn compile_slots(e: &Expr, store: &EventStore, env: &SlotEnv<'_>) -> Option<SlotExpr> {
     Some(match e {
         Expr::Literal(lit) => SlotExpr::Const(match lit {
@@ -211,7 +221,7 @@ pub fn compile_slots(e: &Expr, store: &EventStore, env: &SlotEnv<'_>) -> Option<
             if let Some(&slot) = env.events.get(var.as_str()) {
                 SlotExpr::Event {
                     slot,
-                    attr: attr.clone().unwrap_or_else(|| "id".to_string()),
+                    attr: EventAttr::parse(attr.as_deref().unwrap_or("id")).ok()?,
                     name: var.clone(),
                 }
             } else if let Some(&slot) = env.vars.get(var.as_str()) {
@@ -261,10 +271,9 @@ impl SlotExpr {
     pub fn eval(&self, store: &EventStore, row: &SlotRow) -> Result<Value, EngineError> {
         match self {
             SlotExpr::Const(v) => Ok(*v),
-            SlotExpr::Event { slot, attr, name } => match &row.events[*slot] {
-                Some(e) => e.get(attr).map_err(EngineError::Model),
-                None => Err(unbound(name)),
-            },
+            SlotExpr::Event { slot, attr, name } => {
+                row.event_attrs[SlotRow::event_cell(*slot, *attr)].ok_or_else(|| unbound(name))
+            }
             SlotExpr::Entity { slot, attr, name } => match row.entities[*slot] {
                 Some(id) => {
                     let entity = store.entities().get(id);

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use aiql_model::{EntityId, Event, Timestamp};
+use aiql_model::{EntityId, Event, EventAttr, Timestamp, Value};
 use aiql_storage::{EventFilter, EventStore, IdSet, Partition, PartitionKey};
 
 use crate::analyze::AnalyzedMultievent;
@@ -266,6 +266,22 @@ impl<'a> PartTable<'a> {
         self.part(r)
             .event_at(self.keys[r.part as usize].agent, r.row as usize)
     }
+
+    /// One attribute of the referenced event, read from its column alone —
+    /// the same value `self.event(r).attr(attr)` gives, without
+    /// materializing the other columns.
+    #[inline]
+    pub(crate) fn attr(&self, r: EventRef, attr: EventAttr) -> Value {
+        let p = self.part(r);
+        match attr {
+            EventAttr::Amount => Value::Int(p.amount_at(r.row) as i64),
+            EventAttr::StartTime => Value::Time(p.start_at(r.row)),
+            EventAttr::EndTime => Value::Time(p.end_at(r.row)),
+            EventAttr::AgentId => Value::Int(i64::from(self.keys[r.part as usize].agent.raw())),
+            EventAttr::OpType => Value::Int(p.op_at(r.row).index() as i64),
+            EventAttr::Id => Value::Int(p.id_at(r.row).raw() as i64),
+        }
+    }
 }
 
 /// A per-pattern candidate batch, in the representation of the active data
@@ -483,6 +499,9 @@ impl ExecStats {
                     let _ = write!(out, " | early exit at step {d}");
                 }
             }
+            if matches!(op.kind, "Project" | "Aggregate") {
+                let _ = write!(out, " | materialized {} row(s)", op.emitted_tuples);
+            }
             out.push('\n');
             for s in &op.join_steps {
                 let _ = write!(
@@ -549,8 +568,10 @@ pub struct OpStat {
     /// Seed runs driven to completion by the blocked join drive (joins
     /// only, `blocked_join_drive`; 0 = breadth-first drive).
     pub runs_driven: u64,
-    /// Tuples actually emitted across all join steps of the merged runs
-    /// (blocked drive only).
+    /// Joins: tuples actually emitted across all join steps of the merged
+    /// runs (blocked drive only). `Project`/`Aggregate`: result rows
+    /// materialized before order by and limit — after distinct, so a
+    /// distinct projection over N tuples counts its distinct rows, not N.
     pub emitted_tuples: u64,
     /// Tuples the breadth-first drive would have emitted for the same
     /// result — the demand-driven saving is the gap to `emitted_tuples`
@@ -608,7 +629,8 @@ pub struct OpIo {
     pub probe_hits: u64,
     pub bucket_skipped: u64,
     pub filter_pruned: u64,
-    /// Join-only blocked-drive emission counters (see [`OpStat`]).
+    /// Blocked-drive emission counters (see [`OpStat`]); projections
+    /// report their materialized rows in `emitted_tuples`.
     pub runs_driven: u64,
     pub emitted_tuples: u64,
     pub breadth_bound_tuples: u64,

@@ -6,18 +6,20 @@
 //! `EngineConfig::compiled_projection`:
 //!
 //! * **slot-compiled** (default): every name is resolved to a dense slot
-//!   index before the tuple loop, the row context is a flat [`SlotRow`],
-//!   and only the event slots the projection reads are materialized;
+//!   index and every event attribute to its column before the tuple loop;
+//!   the row context is a flat [`SlotRow`] filled from the ref arena's
+//!   columns, and distinct/group by hash typed keys — no per-tuple
+//!   allocation or string formatting;
 //! * **dynamic**: the [`RowCtx`] hash-map path, kept for ablation and as
 //!   the fallback when an expression resists compilation.
 //!
-//! On the late-materialization path the frontier is a ref arena and the
-//! surviving tuples' events are materialized here, exactly once.
+//! On the dynamic late-materialization path the frontier is a ref arena
+//! and the surviving tuples' events are materialized here, exactly once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use aiql_lang::{Expr, SortDir};
-use aiql_model::{EntityId, Value};
+use aiql_model::{EntityId, EventAttr, Value};
 use aiql_storage::EventStore;
 
 use crate::analyze::AnalyzedMultievent;
@@ -27,7 +29,7 @@ use crate::governor::{GovGate, Governor};
 use crate::op::{
     ExecEnv, Frontier, OpIo, Operator, PartTable, PipelineState, RefArena, Tuple, NO_REF, NO_VAR,
 };
-use crate::result::ResultTable;
+use crate::result::{KeyWord, ResultTable};
 
 /// The projection operator.
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +55,7 @@ impl Operator for Project {
 
     fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpIo, EngineError> {
         let rows_in = st.frontier.len();
-        let mut table = match &st.frontier {
+        let (mut table, materialized) = match &st.frontier {
             Frontier::Refs(arena) => {
                 let compiled = env
                     .config
@@ -84,6 +86,7 @@ impl Operator for Project {
             rows_in,
             rows_out,
             fanout: 1,
+            emitted_tuples: materialized as u64,
             ..OpIo::default()
         })
     }
@@ -231,9 +234,10 @@ fn column_name(item: &aiql_lang::ReturnItem) -> String {
 
 /// A fully slot-compiled projection: return items, grouping keys, having
 /// filter, and aggregate arguments with every name resolved to a dense
-/// slot, plus the sets of event/variable slots the projection actually
-/// reads. Tuples bind into a reused [`SlotRow`] — no per-tuple hash maps —
-/// and events outside `used_events` are never materialized.
+/// slot and every event attribute to its column, plus the variable slots
+/// and (pattern, attribute) cells the projection actually reads. Tuples
+/// bind into a reused [`SlotRow`] — no per-tuple hash maps, and no event
+/// is ever materialized whole.
 struct CompiledProjection {
     /// Compiled return items, in column order.
     items: Vec<SlotExpr>,
@@ -248,16 +252,16 @@ struct CompiledProjection {
     /// Aggregates: function + compiled argument, in [`collect_aggs`] order
     /// (the dense index [`SlotExpr::Agg`] nodes refer to).
     aggs: Vec<(aiql_lang::AggFunc, SlotExpr)>,
-    /// Event slots referenced anywhere in the projection.
-    used_events: Vec<usize>,
+    /// (pattern, attribute) cells referenced anywhere in the projection.
+    used_event_attrs: Vec<(usize, EventAttr)>,
     /// Variable slots referenced anywhere in the projection.
     used_vars: Vec<usize>,
 }
 
 /// Compiles a query's projection to slots. `None` when any expression
-/// resists compilation (unknown name, historical access) — the caller then
-/// keeps the dynamic [`RowCtx`] path, which reproduces legacy behavior
-/// bit for bit, errors included.
+/// resists compilation (unknown name or event attribute, historical
+/// access) — the caller then keeps the dynamic [`RowCtx`] path, which
+/// reproduces legacy behavior bit for bit, errors included.
 fn compile_projection(store: &EventStore, a: &AnalyzedMultievent) -> Option<CompiledProjection> {
     let aggs_src = collect_aggs(a);
     let mut env = SlotEnv {
@@ -309,13 +313,15 @@ fn compile_projection(store: &EventStore, a: &AnalyzedMultievent) -> Option<Comp
         .map(|(_, func, arg)| Some((*func, eval::compile_slots(arg, store, &env)?)))
         .collect::<Option<_>>()?;
 
-    let mut used_events: Vec<usize> = Vec::new();
+    let mut used_event_attrs: Vec<(usize, EventAttr)> = Vec::new();
     let mut used_vars: Vec<usize> = Vec::new();
     {
         let mut mark = |e: &SlotExpr| {
             e.visit(&mut |node| match node {
-                SlotExpr::Event { slot, .. } if !used_events.contains(slot) => {
-                    used_events.push(*slot);
+                SlotExpr::Event { slot, attr, .. }
+                    if !used_event_attrs.contains(&(*slot, *attr)) =>
+                {
+                    used_event_attrs.push((*slot, *attr));
                 }
                 SlotExpr::Entity { slot, .. } if !used_vars.contains(slot) => {
                     used_vars.push(*slot);
@@ -337,13 +343,13 @@ fn compile_projection(store: &EventStore, a: &AnalyzedMultievent) -> Option<Comp
         group_by,
         having,
         aggs,
-        used_events,
+        used_event_attrs,
         used_vars,
     })
 }
 
-/// Populates a slot row from the ref arena, materializing only the event
-/// slots the compiled projection reads.
+/// Populates a slot row from the ref arena, reading only the variable
+/// slots and event columns the compiled projection uses.
 fn fill_slots_arena(
     arena: &RefArena,
     parts: &PartTable<'_>,
@@ -351,20 +357,128 @@ fn fill_slots_arena(
     i: usize,
     row: &mut SlotRow,
 ) {
+    let vars = arena.vars_of(i);
     for &v in &cp.used_vars {
-        let id = arena.vars_of(i)[v];
+        let id = vars[v];
         row.entities[v] = (id != NO_VAR).then_some(EntityId(id));
     }
-    for &pi in &cp.used_events {
-        let r = arena.events_of(i)[pi];
-        row.events[pi] = (r != NO_REF).then(|| parts.event(r));
+    let events = arena.events_of(i);
+    for &(pi, attr) in &cp.used_event_attrs {
+        let r = events[pi];
+        row.event_attrs[SlotRow::event_cell(pi, attr)] = (r != NO_REF).then(|| parts.attr(r, attr));
+    }
+}
+
+/// One aggregate's running state, specialized to its function so each
+/// value does only the work that function needs.
+#[derive(Debug, Clone, Copy)]
+enum Acc {
+    Count(u64),
+    Sum { sum: f64, all_int: bool },
+    Avg { sum: f64, count: u64 },
+    Min(Option<Value>),
+    Max(Option<Value>),
+}
+
+impl Acc {
+    fn new(func: aiql_lang::AggFunc) -> Self {
+        use aiql_lang::AggFunc::*;
+        match func {
+            Count => Acc::Count(0),
+            Sum => Acc::Sum {
+                sum: 0.0,
+                all_int: true,
+            },
+            Avg => Acc::Avg { sum: 0.0, count: 0 },
+            Min => Acc::Min(None),
+            Max => Acc::Max(None),
+        }
+    }
+
+    /// Folds one value in; nulls are skipped by every function.
+    #[inline]
+    fn add(&mut self, v: Value) {
+        if v.is_null() {
+            return;
+        }
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum { sum, all_int } => {
+                if let Some(x) = v.as_f64() {
+                    *sum += x;
+                }
+                *all_int &= matches!(v, Value::Int(_));
+            }
+            Acc::Avg { sum, count } => {
+                *count += 1;
+                if let Some(x) = v.as_f64() {
+                    *sum += x;
+                }
+            }
+            // Ties keep the earlier value, as in [`AggAcc`].
+            Acc::Min(m) => {
+                if !m.is_some_and(|m| eval::cmp_values(&m, &v).is_le()) {
+                    *m = Some(v);
+                }
+            }
+            Acc::Max(m) => {
+                if !m.is_some_and(|m| eval::cmp_values(&m, &v).is_ge()) {
+                    *m = Some(v);
+                }
+            }
+        }
+    }
+
+    fn finish(&self) -> Value {
+        match *self {
+            Acc::Count(n) => Value::Int(n as i64),
+            Acc::Sum { sum, all_int: true } => Value::Int(sum as i64),
+            Acc::Sum { sum, .. } => Value::Float(sum),
+            Acc::Avg { count: 0, .. } => Value::Null,
+            Acc::Avg { sum, count } => Value::Float(sum / count as f64),
+            Acc::Min(m) | Acc::Max(m) => m.unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// The rows a compiled projection keeps before order by and limit. With
+/// `distinct`, each candidate row is hashed by its typed key and copied
+/// out of the caller's scratch row only when the key is new, so first
+/// occurrences survive in order.
+struct RowSink {
+    rows: Vec<Vec<Value>>,
+    seen: Option<HashSet<Box<[KeyWord]>>>,
+    key: Vec<KeyWord>,
+}
+
+impl RowSink {
+    fn new(distinct: bool) -> Self {
+        RowSink {
+            rows: Vec::new(),
+            seen: distinct.then(HashSet::new),
+            key: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        if let Some(seen) = &mut self.seen {
+            ResultTable::typed_key(row, &mut self.key);
+            if seen.contains(self.key.as_slice()) {
+                return;
+            }
+            seen.insert(self.key.as_slice().into());
+        }
+        self.rows.push(row.to_vec());
     }
 }
 
 /// Projection over slot rows: the same traversal as [`project_with`]
-/// (grouping by first occurrence, per-item alias scope, having-after-items)
-/// so the output is byte-identical — but every name lookup is an indexed
-/// array access and the row context is filled without hashing.
+/// (grouping by first occurrence, per-item alias scope, having-after-items,
+/// distinct by first occurrence) so the output is byte-identical — but
+/// every name lookup is an indexed array access, items evaluate into one
+/// reused scratch row, and distinct and group keys are typed words rather
+/// than formatted strings. Returns the table and the rows materialized
+/// before order by and limit.
 fn project_compiled(
     store: &EventStore,
     a: &AnalyzedMultievent,
@@ -372,14 +486,15 @@ fn project_compiled(
     ntuples: usize,
     gov: Option<&Governor>,
     mut fill: impl FnMut(usize, &mut SlotRow),
-) -> Result<ResultTable, EngineError> {
+) -> Result<(ResultTable, usize), EngineError> {
     let columns: Vec<String> = a.ret.items.iter().map(column_name).collect();
     let mut table = ResultTable::new(columns);
     let aggregated = !cp.aggs.is_empty() || !a.group_by.is_empty();
     let mut ctx = SlotRow::new(a.vars.len(), a.patterns.len(), cp.naliases, cp.aggs.len());
     let mut gate = GovGate::new(gov);
+    let mut sink = RowSink::new(a.ret.distinct);
+    let mut row: Vec<Value> = Vec::with_capacity(cp.items.len());
 
-    let mut rows: Vec<Vec<Value>> = Vec::new();
     if !aggregated {
         for i in 0..ntuples {
             // A trip here either unwinds (error mode) or keeps the rows
@@ -392,7 +507,7 @@ fn project_compiled(
                 break;
             }
             fill(i, &mut ctx);
-            let mut row = Vec::with_capacity(cp.items.len());
+            row.clear();
             for item in &cp.items {
                 row.push(item.eval(store, &ctx)?);
             }
@@ -402,59 +517,17 @@ fn project_compiled(
                     continue;
                 }
             }
-            rows.push(row);
-        }
-    } else if cp.group_by.is_empty() {
-        // Single implicit group: skip the per-tuple group-key string and
-        // hash lookup entirely — bare aggregate chains feed millions of
-        // joined tuples through here and the key machinery would dominate
-        // the accumulation itself.
-        let mut accs: Vec<AggAcc> = cp.aggs.iter().map(|_| AggAcc::new()).collect();
-        let mut consumed = 0usize;
-        for ti in 0..ntuples {
-            if let (Some(t), Some(g)) = (gate.tick(), gov) {
-                if !g.partial() {
-                    return Err(g.error(t));
-                }
-                break;
-            }
-            fill(ti, &mut ctx);
-            for ((_, arg), acc) in cp.aggs.iter().zip(accs.iter_mut()) {
-                acc.add(arg.eval(store, &ctx)?);
-            }
-            consumed += 1;
-        }
-        // Same emission as the grouped path with the first consumed tuple
-        // as the representative; zero consumed tuples emit zero groups.
-        if consumed > 0 {
-            fill(0, &mut ctx);
-            for (slot, ((func, _), acc)) in cp.aggs.iter().zip(accs.iter()).enumerate() {
-                ctx.aggs[slot] = acc.finalize(*func);
-            }
-            ctx.aliases.iter_mut().for_each(|v| *v = None);
-            let mut row = Vec::with_capacity(cp.items.len());
-            for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
-                let v = item.eval(store, &ctx)?;
-                if let Some(slot) = alias {
-                    ctx.aliases[*slot] = Some(v);
-                }
-                row.push(v);
-            }
-            if cp
-                .having
-                .as_ref()
-                .map_or(Ok(true), |h| h.eval(store, &ctx).map(|v| v.truthy()))?
-            {
-                rows.push(row);
-            }
+            sink.push(&row);
         }
     } else {
-        struct Group {
-            rep: usize,
-            accs: Vec<AggAcc>,
-        }
-        let mut groups: HashMap<String, Group> = HashMap::new();
-        let mut group_order: Vec<String> = Vec::new();
+        // Groups in first-occurrence order: representative tuple plus
+        // `naggs` accumulators each, flat. Without group keys every tuple
+        // lands in group 0 and no key is built at all.
+        let naggs = cp.aggs.len();
+        let mut reps: Vec<usize> = Vec::new();
+        let mut accs: Vec<Acc> = Vec::new();
+        let mut groups: HashMap<Box<[KeyWord]>, usize> = HashMap::new();
+        let mut key: Vec<KeyWord> = Vec::with_capacity(cp.group_by.len());
         for ti in 0..ntuples {
             // Partial mode: aggregates reflect the tuple prefix consumed
             // before the trip (the table carries the warning).
@@ -465,33 +538,37 @@ fn project_compiled(
                 break;
             }
             fill(ti, &mut ctx);
-            let mut key_vals = Vec::with_capacity(cp.group_by.len());
-            for g in &cp.group_by {
-                key_vals.push(g.eval(store, &ctx)?);
-            }
-            let key = ResultTable::row_key(&key_vals);
-            let group = match groups.get_mut(&key) {
-                Some(g) => g,
-                None => {
-                    group_order.push(key.clone());
-                    groups.entry(key).or_insert(Group {
-                        rep: ti,
-                        accs: cp.aggs.iter().map(|_| AggAcc::new()).collect(),
-                    })
+            let group = if cp.group_by.is_empty() {
+                0
+            } else {
+                key.clear();
+                for g in &cp.group_by {
+                    key.push(KeyWord::of(g.eval(store, &ctx)?));
+                }
+                match groups.get(key.as_slice()) {
+                    Some(&g) => g,
+                    None => {
+                        groups.insert(key.as_slice().into(), reps.len());
+                        reps.len()
+                    }
                 }
             };
-            for ((_, arg), acc) in cp.aggs.iter().zip(group.accs.iter_mut()) {
+            if group == reps.len() {
+                reps.push(ti);
+                accs.extend(cp.aggs.iter().map(|(func, _)| Acc::new(*func)));
+            }
+            let group_accs = &mut accs[group * naggs..(group + 1) * naggs];
+            for ((_, arg), acc) in cp.aggs.iter().zip(group_accs) {
                 acc.add(arg.eval(store, &ctx)?);
             }
         }
-        for key in &group_order {
-            let group = &groups[key];
-            fill(group.rep, &mut ctx);
-            for (slot, ((func, _), acc)) in cp.aggs.iter().zip(group.accs.iter()).enumerate() {
-                ctx.aggs[slot] = acc.finalize(*func);
+        for (group, &rep) in reps.iter().enumerate() {
+            fill(rep, &mut ctx);
+            for (slot, acc) in accs[group * naggs..(group + 1) * naggs].iter().enumerate() {
+                ctx.aggs[slot] = acc.finish();
             }
             ctx.aliases.iter_mut().for_each(|v| *v = None);
-            let mut row = Vec::with_capacity(cp.items.len());
+            row.clear();
             for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
                 let v = item.eval(store, &ctx)?;
                 if let Some(slot) = alias {
@@ -504,13 +581,15 @@ fn project_compiled(
                     continue;
                 }
             }
-            rows.push(row);
+            sink.push(&row);
         }
     }
 
-    finish_rows(a, &mut rows)?;
+    let mut rows = sink.rows;
+    let materialized = rows.len();
+    order_and_limit(a, &mut rows)?;
     table.rows = rows;
-    Ok(table)
+    Ok((table, materialized))
 }
 
 /// Projects joined tuples into the final result table (aggregation,
@@ -523,19 +602,21 @@ pub fn project(
     project_with(store, a, tuples.len(), None, |i, ctx| {
         fill_ctx_tuple(a, &tuples[i], ctx);
     })
+    .map(|(table, _)| table)
 }
 
 /// Core projection over any tuple source: `fill(i, ctx)` populates the
 /// (reused) row context for tuple `i`. The late-materialization path feeds
 /// its ref arena through this, building each surviving tuple's events
 /// exactly once and never allocating an intermediate tuple vector.
+/// Returns the table and the rows materialized before order by and limit.
 fn project_with<'a>(
     store: &EventStore,
     a: &'a AnalyzedMultievent,
     ntuples: usize,
     gov: Option<&Governor>,
     fill: impl Fn(usize, &mut RowCtx<'a>),
-) -> Result<ResultTable, EngineError> {
+) -> Result<(ResultTable, usize), EngineError> {
     let columns: Vec<String> = a.ret.items.iter().map(column_name).collect();
     let mut table = ResultTable::new(columns);
     let aggs = collect_aggs(a);
@@ -624,19 +705,26 @@ fn project_with<'a>(
         }
     }
 
-    finish_rows(a, &mut rows)?;
+    let materialized = finish_rows(a, &mut rows)?;
     table.rows = rows;
-    Ok(table)
+    Ok((table, materialized))
 }
 
-/// The projection tail shared by the dynamic and slot-compiled paths:
-/// distinct, order by, limit.
-fn finish_rows(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result<(), EngineError> {
+/// The dynamic path's projection tail: distinct by string row key, then
+/// order by and limit. Returns the rows kept before order by and limit.
+fn finish_rows(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result<usize, EngineError> {
     if a.ret.distinct {
         let mut seen = std::collections::HashSet::new();
         rows.retain(|r| seen.insert(ResultTable::row_key(r)));
     }
+    let materialized = rows.len();
+    order_and_limit(a, rows)?;
+    Ok(materialized)
+}
 
+/// The projection tail shared by the dynamic and slot-compiled paths:
+/// order by (stable), then limit.
+fn order_and_limit(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result<(), EngineError> {
     if !a.order_by.is_empty() {
         // Each order key must correspond to an output column.
         let mut key_cols = Vec::with_capacity(a.order_by.len());

@@ -110,10 +110,53 @@ impl ResultTable {
         key
     }
 
+    /// Writes `row`'s typed key into `out` (cleared first): one
+    /// [`KeyWord`] per value. Two rows have equal typed keys exactly when
+    /// their [`ResultTable::row_key`]s are equal, without formatting a
+    /// string.
+    pub(crate) fn typed_key(row: &[Value], out: &mut Vec<KeyWord>) {
+        out.clear();
+        out.extend(row.iter().map(|&v| KeyWord::of(v)));
+    }
+
     /// Sorts rows by their canonical keys (test helper for set comparison).
     pub fn normalized(mut self) -> Self {
         self.rows.sort_by_key(|r| Self::row_key(r));
         self
+    }
+}
+
+/// One value of a typed row key: the variant tag plus the payload's raw
+/// bits. Equality follows the `{:?}` rendering [`ResultTable::row_key`]
+/// compares: `Int(1)` and `Float(1.0)` differ, `0.0` and `-0.0` differ,
+/// and every NaN prints `NaN`, so all NaNs share one key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyWord {
+    tag: u8,
+    bits: u64,
+}
+
+/// Hashes the payload bits alone, one word per value: values of different
+/// types that share bits collide in the table but never compare equal.
+impl std::hash::Hash for KeyWord {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.bits);
+    }
+}
+
+impl KeyWord {
+    pub(crate) fn of(v: Value) -> Self {
+        let (tag, bits) = match v {
+            Value::Null => (0, 0),
+            Value::Int(i) => (1, i as u64),
+            Value::Float(x) if x.is_nan() => (2, f64::NAN.to_bits()),
+            Value::Float(x) => (2, x.to_bits()),
+            Value::Str(s) => (3, u64::from(s.raw())),
+            Value::Ip(ip) => (4, u64::from(ip.0)),
+            Value::Time(t) => (5, t.0 as u64),
+            Value::Bool(b) => (6, u64::from(b)),
+        };
+        KeyWord { tag, bits }
     }
 }
 
@@ -147,6 +190,68 @@ mod tests {
             ResultTable::row_key(&[Value::Int(1), Value::Bool(true)]),
             ResultTable::row_key(&[Value::Int(1), Value::Bool(true)])
         );
+    }
+
+    /// Typed-key equality holds exactly when `row_key` equality does, over
+    /// random rows drawn from values built to collide: NaNs with different
+    /// payloads and signs, `0.0` vs `-0.0`, `Int(1)` vs `Float(1.0)`,
+    /// `Null`, and `Str`/`Ip`/`Time` with equal raw bits, in rows of
+    /// different lengths.
+    #[test]
+    fn typed_keys_match_row_keys() {
+        use aiql_model::{IpV4, Symbol, Timestamp};
+        let pool = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::from_bits(0x7ff0_0000_0000_0001)),
+            Value::Float(f64::from_bits(0xfff8_dead_beef_0000)),
+            Value::Str(Symbol(1)),
+            Value::Ip(IpV4(1)),
+            Value::Time(Timestamp(1)),
+            Value::Str(Symbol(0)),
+            Value::Ip(IpV4(0)),
+            Value::Time(Timestamp(0)),
+            Value::Bool(false),
+            Value::Bool(true),
+        ];
+        // splitmix64: deterministic, no dependencies.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut row = || -> Vec<Value> { (0..next(3)).map(|_| pool[next(pool.len())]).collect() };
+        let (mut ka, mut kb) = (Vec::new(), Vec::new());
+        let mut equal = 0;
+        for _ in 0..20_000 {
+            let (a, b) = (row(), row());
+            ResultTable::typed_key(&a, &mut ka);
+            ResultTable::typed_key(&b, &mut kb);
+            let same = ResultTable::row_key(&a) == ResultTable::row_key(&b);
+            assert_eq!(ka == kb, same, "{a:?} vs {b:?}");
+            equal += usize::from(same);
+        }
+        // Every pool pair, single-value rows: the collision cases above.
+        for &x in &pool {
+            for &y in &pool {
+                ResultTable::typed_key(&[x], &mut ka);
+                ResultTable::typed_key(&[y], &mut kb);
+                let same = ResultTable::row_key(&[x]) == ResultTable::row_key(&[y]);
+                assert_eq!(ka == kb, same, "{x:?} vs {y:?}");
+            }
+        }
+        assert!(equal > 100, "too few equal pairs drawn: {equal}");
     }
 
     #[test]

@@ -205,18 +205,66 @@ impl Event {
     /// Event-level attribute lookup used by query evaluation
     /// (`evt.amount`, `evt.starttime`, …).
     pub fn get(&self, attr: &str) -> Result<Value, ModelError> {
+        EventAttr::parse(attr).map(|a| self.attr(a))
+    }
+
+    /// The value of a resolved event attribute.
+    pub fn attr(&self, attr: EventAttr) -> Value {
         match attr {
-            "amount" => Ok(Value::Int(self.amount as i64)),
-            "starttime" | "start_time" => Ok(Value::Time(self.start_time)),
-            "endtime" | "end_time" => Ok(Value::Time(self.end_time)),
-            "agentid" => Ok(Value::Int(i64::from(self.agent.raw()))),
-            "optype" | "operation" => Ok(Value::Int(self.op.index() as i64)),
-            "id" => Ok(Value::Int(self.id.raw() as i64)),
-            _ => Err(ModelError::UnknownAttribute {
-                kind: "event",
-                attr: attr.to_string(),
-            }),
+            EventAttr::Amount => Value::Int(self.amount as i64),
+            EventAttr::StartTime => Value::Time(self.start_time),
+            EventAttr::EndTime => Value::Time(self.end_time),
+            EventAttr::AgentId => Value::Int(i64::from(self.agent.raw())),
+            EventAttr::OpType => Value::Int(self.op.index() as i64),
+            EventAttr::Id => Value::Int(self.id.raw() as i64),
         }
+    }
+}
+
+/// An event-level attribute, resolved from its query name once so that
+/// per-row evaluation can read the matching column directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventAttr {
+    /// `amount`: bytes transferred.
+    Amount,
+    /// `starttime` / `start_time`.
+    StartTime,
+    /// `endtime` / `end_time`.
+    EndTime,
+    /// `agentid`: the host.
+    AgentId,
+    /// `optype` / `operation`: the operation's dense index.
+    OpType,
+    /// `id`: the store-assigned event id (also a bare event reference).
+    Id,
+}
+
+impl EventAttr {
+    /// Number of event attributes (for dense per-attribute arrays).
+    pub const COUNT: usize = 6;
+
+    /// Resolves an attribute name.
+    pub fn parse(attr: &str) -> Result<Self, ModelError> {
+        Ok(match attr {
+            "amount" => EventAttr::Amount,
+            "starttime" | "start_time" => EventAttr::StartTime,
+            "endtime" | "end_time" => EventAttr::EndTime,
+            "agentid" => EventAttr::AgentId,
+            "optype" | "operation" => EventAttr::OpType,
+            "id" => EventAttr::Id,
+            _ => {
+                return Err(ModelError::UnknownAttribute {
+                    kind: "event",
+                    attr: attr.to_string(),
+                })
+            }
+        })
+    }
+
+    /// Dense index for per-attribute arrays.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
     }
 }
 

@@ -38,7 +38,7 @@ pub use entity::{
     Entity, EntityAttrs, EntityKind, FileAttrs, NetConnAttrs, ProcessAttrs, Protocol,
 };
 pub use error::ModelError;
-pub use event::{Event, EventType, Operation, ALL_OPERATIONS, OPERATION_COUNT};
+pub use event::{Event, EventAttr, EventType, Operation, ALL_OPERATIONS, OPERATION_COUNT};
 pub use ids::{AgentId, EntityId, EventId};
 pub use interner::{Interner, Symbol};
 pub use pattern::{PatternShape, StringPattern};
