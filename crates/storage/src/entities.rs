@@ -10,11 +10,13 @@
 //! evaluated once against a few thousand distinct names, yielding an id set
 //! that prunes event scans via posting lists.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use aiql_model::{
-    AgentId, Entity, EntityAttrs, EntityId, EntityKind, Interner, PatternShape, StringPattern,
-    Symbol, Value,
+    AgentId, Entity, EntityAttrs, EntityId, EntityKind, Interner, IpV4, PatternShape,
+    StringPattern, Symbol, Value,
 };
 
 /// Inserts `key` into a posting list kept in ascending order. Keys arrive
@@ -94,6 +96,22 @@ impl DictIndex {
             None => {
                 self.by_lower.insert(lowered.into_boxed_str(), vec![key]);
             }
+        }
+    }
+
+    /// Adds a later layer's entries (keys it saw first).
+    fn absorb(&mut self, later: &DictIndex) {
+        for (rendered, keys) in &later.by_lower {
+            match self.by_lower.get_mut(rendered) {
+                Some(mine) => keys.iter().for_each(|&k| sorted_insert(mine, k)),
+                None => {
+                    self.by_lower.insert(rendered.clone(), keys.clone());
+                }
+            }
+        }
+        for (gram, keys) in &later.trigrams {
+            let mine = self.trigrams.entry(*gram).or_default();
+            keys.iter().for_each(|&k| sorted_insert(mine, k));
         }
     }
 
@@ -224,26 +242,102 @@ impl EntityConstraint {
     }
 }
 
+/// When the delta holds at least this many entities *and* at least
+/// `1 / MERGE_FRACTION` of the base's, it is folded into a new base. The
+/// floor keeps small dictionaries from merging on every few entities; the
+/// fraction bounds both the per-publish delta copy and how often a merge
+/// recopies the base.
+const MERGE_FLOOR: usize = 4096;
+const MERGE_FRACTION: usize = 8;
+
+/// The index of one entity kind's key attribute — process executable name,
+/// file path or connection destination IP — within one layer.
+#[derive(Debug, Default, Clone)]
+struct KeyIndex {
+    /// Key (a name symbol's raw id, or a raw IPv4) → the layer's entities
+    /// carrying it, ascending.
+    postings: HashMap<u32, Vec<EntityId>>,
+    /// Trigram/prefix index over the keys first seen in this layer.
+    dict: DictIndex,
+}
+
+/// One layer of the dictionary. The frozen base holds ids `0..base.len()`,
+/// the delta the ids after them, so concatenating the two layers' lists
+/// keeps every id list ascending.
+#[derive(Debug, Default, Clone)]
+struct DictLayer {
+    entities: Vec<Entity>,
+    by_kind: [Vec<EntityId>; 3],
+    /// Per-kind key index, by [`kind_slot`].
+    keys: [KeyIndex; 3],
+}
+
+impl DictLayer {
+    /// Appends a later layer (the delta) to this one. The lists grow to
+    /// their exact length: a base is long-lived and read-only until the
+    /// next merge, so amortized growth would only leave slack behind.
+    fn absorb(&mut self, later: &DictLayer) {
+        fn append<T: Clone>(list: &mut Vec<T>, more: &[T]) {
+            list.reserve_exact(more.len());
+            list.extend_from_slice(more);
+        }
+        append(&mut self.entities, &later.entities);
+        for slot in 0..3 {
+            append(&mut self.by_kind[slot], &later.by_kind[slot]);
+            let (mine, theirs) = (&mut self.keys[slot], &later.keys[slot]);
+            for (key, ids) in &theirs.postings {
+                append(mine.postings.entry(*key).or_default(), ids);
+            }
+            mine.dict.absorb(&theirs.dict);
+        }
+    }
+}
+
+/// Unique access to a layer, copying it first when a snapshot still shares
+/// it (counted in entities into `copied`).
+fn unshare<'a>(layer: &'a mut Arc<DictLayer>, copied: &mut u64) -> &'a mut DictLayer {
+    if Arc::get_mut(layer).is_none() {
+        *copied += layer.entities.len() as u64;
+        *layer = Arc::new(DictLayer::clone(layer));
+    }
+    Arc::get_mut(layer).expect("layer is unique after the copy")
+}
+
+/// The dictionary key of an entity: its kind's key attribute as a `u32`.
+fn key_of(attrs: &EntityAttrs) -> u32 {
+    match attrs {
+        EntityAttrs::Process(p) => p.exe_name.raw(),
+        EntityAttrs::File(f) => f.name.raw(),
+        EntityAttrs::NetConn(n) => n.dst_ip.0,
+    }
+}
+
+/// The string a key renders as, which `LIKE` patterns match against.
+fn render_key(interner: &Interner, kind: EntityKind, key: u32) -> Cow<'_, str> {
+    match kind {
+        EntityKind::NetConn => Cow::Owned(IpV4(key).to_string()),
+        _ => Cow::Borrowed(interner.resolve(Symbol(key))),
+    }
+}
+
 /// The deduplicating entity dictionary, including the string interner shared
 /// by the whole store.
+///
+/// The dictionary is two `Arc`-shared layers: a frozen base and a small
+/// delta holding the entities interned since the last merge. The read view
+/// a published snapshot carries shares both, so publishing copies nothing
+/// that grows with the dictionary; the writer copies only the delta, and at
+/// most once per publish. The interner is layered the same way inside
+/// [`Interner`] and freezes with each merge.
 #[derive(Debug)]
 pub struct EntityStore {
     interner: Interner,
-    entities: Vec<Entity>,
+    /// Frozen layer: ids `0..base.entities.len()`.
+    base: Arc<DictLayer>,
+    /// Entities interned since the last merge; ids continue the base's.
+    delta: Arc<DictLayer>,
+    /// Writer-only dedup map; read views leave it empty.
     dedup: HashMap<(AgentId, EntityAttrs), EntityId>,
-    by_kind: [Vec<EntityId>; 3],
-    /// Process entities grouped by executable-name symbol.
-    proc_by_name: HashMap<Symbol, Vec<EntityId>>,
-    /// File entities grouped by path symbol.
-    file_by_name: HashMap<Symbol, Vec<EntityId>>,
-    /// Network connections grouped by destination IP.
-    conn_by_dst: HashMap<u32, Vec<EntityId>>,
-    /// Trigram/prefix index over distinct process executable names.
-    proc_dict: DictIndex,
-    /// Trigram/prefix index over distinct file paths.
-    file_dict: DictIndex,
-    /// Trigram/prefix index over rendered destination IPs.
-    conn_dict: DictIndex,
     /// Whether `LIKE` resolution may use the n-gram/prefix indexes (the
     /// naive full-dictionary scan is kept for ablation and as the
     /// differential-test oracle).
@@ -256,55 +350,16 @@ pub struct EntityStore {
     /// record hits through a shared reference without cloning the
     /// dictionary.
     dedup_hits: std::sync::atomic::AtomicU64,
+    /// Entities copied so far: shared deltas copied before a write, and
+    /// layers copied or appended by merges.
+    entries_copied: u64,
 }
 
 impl Clone for EntityStore {
     fn clone(&self) -> Self {
         EntityStore {
-            interner: self.interner.clone(),
-            entities: self.entities.clone(),
             dedup: self.dedup.clone(),
-            by_kind: self.by_kind.clone(),
-            proc_by_name: self.proc_by_name.clone(),
-            file_by_name: self.file_by_name.clone(),
-            conn_by_dst: self.conn_by_dst.clone(),
-            proc_dict: self.proc_dict.clone(),
-            file_dict: self.file_dict.clone(),
-            conn_dict: self.conn_dict.clone(),
-            ngram_index: self.ngram_index,
-            agents_seen: self.agents_seen.clone(),
-            dedup_hits: std::sync::atomic::AtomicU64::new(
-                self.dedup_hits.load(std::sync::atomic::Ordering::Relaxed),
-            ),
-        }
-    }
-}
-
-impl EntityStore {
-    /// Clone for publication into a read-only snapshot: identical
-    /// query-visible state (entities, interner, name and n-gram indexes),
-    /// but the dedup map — consulted only by the ingest path, which never
-    /// runs against a snapshot — stays empty. Skipping it roughly halves
-    /// the copy a dictionary-changing publish pays, and the copy itself is
-    /// what keeps the writer's dictionary `Arc` unique so commits never
-    /// hit `Arc::make_mut`'s copy-on-write slow path.
-    pub(crate) fn clone_for_read(&self) -> Self {
-        EntityStore {
-            interner: self.interner.clone(),
-            entities: self.entities.clone(),
-            dedup: HashMap::new(),
-            by_kind: self.by_kind.clone(),
-            proc_by_name: self.proc_by_name.clone(),
-            file_by_name: self.file_by_name.clone(),
-            conn_by_dst: self.conn_by_dst.clone(),
-            proc_dict: self.proc_dict.clone(),
-            file_dict: self.file_dict.clone(),
-            conn_dict: self.conn_dict.clone(),
-            ngram_index: self.ngram_index,
-            agents_seen: self.agents_seen.clone(),
-            dedup_hits: std::sync::atomic::AtomicU64::new(
-                self.dedup_hits.load(std::sync::atomic::Ordering::Relaxed),
-            ),
+            ..self.read_view()
         }
     }
 }
@@ -347,18 +402,31 @@ impl EntityStore {
     pub fn with_ngram_index(ngram_index: bool) -> Self {
         EntityStore {
             interner: Interner::new(),
-            entities: Vec::new(),
+            base: Arc::default(),
+            delta: Arc::default(),
             dedup: HashMap::new(),
-            by_kind: [Vec::new(), Vec::new(), Vec::new()],
-            proc_by_name: HashMap::new(),
-            file_by_name: HashMap::new(),
-            conn_by_dst: HashMap::new(),
-            proc_dict: DictIndex::default(),
-            file_dict: DictIndex::default(),
-            conn_dict: DictIndex::default(),
             ngram_index,
             agents_seen: Vec::new(),
             dedup_hits: std::sync::atomic::AtomicU64::new(0),
+            entries_copied: 0,
+        }
+    }
+
+    /// A read-only view for a published snapshot: the same entities,
+    /// interner and indexes, sharing both layers by `Arc`. The dedup map —
+    /// consulted only by the ingest path, which never runs against a
+    /// snapshot — stays behind, so the view costs O(hosts), not
+    /// O(dictionary).
+    pub(crate) fn read_view(&self) -> Self {
+        EntityStore {
+            interner: self.interner.clone(),
+            base: Arc::clone(&self.base),
+            delta: Arc::clone(&self.delta),
+            dedup: HashMap::new(),
+            ngram_index: self.ngram_index,
+            agents_seen: self.agents_seen.clone(),
+            dedup_hits: std::sync::atomic::AtomicU64::new(self.dedup_hits()),
+            entries_copied: self.entries_copied,
         }
     }
 
@@ -381,42 +449,60 @@ impl EntityStore {
             self.note_dedup_hit();
             return id;
         }
-        let id = EntityId(self.entities.len() as u32);
-        let entity = Entity { id, agent, attrs };
-        self.entities.push(entity);
+        let id = EntityId(self.len() as u32);
         self.dedup.insert((agent, attrs), id);
-        self.by_kind[kind_slot(attrs.kind())].push(id);
         if let Err(pos) = self.agents_seen.binary_search(&agent) {
             self.agents_seen.insert(pos, agent);
         }
-        // Group the entity under its dictionary key; the first observation
-        // of a distinct key also enters the n-gram/prefix index.
-        match attrs {
-            EntityAttrs::Process(p) => {
-                let ids = self.proc_by_name.entry(p.exe_name).or_default();
-                if ids.is_empty() && self.ngram_index {
-                    self.proc_dict
-                        .insert(p.exe_name.raw(), self.interner.resolve(p.exe_name));
-                }
-                ids.push(id);
-            }
-            EntityAttrs::File(f) => {
-                let ids = self.file_by_name.entry(f.name).or_default();
-                if ids.is_empty() && self.ngram_index {
-                    self.file_dict
-                        .insert(f.name.raw(), self.interner.resolve(f.name));
-                }
-                ids.push(id);
-            }
-            EntityAttrs::NetConn(n) => {
-                let ids = self.conn_by_dst.entry(n.dst_ip.0).or_default();
-                if ids.is_empty() && self.ngram_index {
-                    self.conn_dict.insert(n.dst_ip.0, &n.dst_ip.to_string());
-                }
-                ids.push(id);
-            }
+        let kind = attrs.kind();
+        let slot = kind_slot(kind);
+        let key = key_of(&attrs);
+        // A key enters the n-gram/prefix index of the layer where it is
+        // first seen.
+        let first_seen = self.ngram_index
+            && !self.base.keys[slot].postings.contains_key(&key)
+            && !self.delta.keys[slot].postings.contains_key(&key);
+        let delta = unshare(&mut self.delta, &mut self.entries_copied);
+        delta.entities.push(Entity { id, agent, attrs });
+        delta.by_kind[slot].push(id);
+        let index = &mut delta.keys[slot];
+        index.postings.entry(key).or_default().push(id);
+        if first_seen {
+            index
+                .dict
+                .insert(key, &render_key(&self.interner, kind, key));
+        }
+        if delta.entities.len() >= MERGE_FLOOR.max(self.base.entities.len() / MERGE_FRACTION) {
+            self.merge();
         }
         id
+    }
+
+    /// Folds the delta into a new base (and freezes the interner's tail).
+    /// The base is copied only when a snapshot still shares it.
+    fn merge(&mut self) {
+        if self.delta.entities.is_empty() {
+            return;
+        }
+        let delta = std::mem::take(&mut self.delta);
+        self.entries_copied += delta.entities.len() as u64;
+        unshare(&mut self.base, &mut self.entries_copied).absorb(&delta);
+        self.interner.freeze();
+    }
+
+    /// Whether this dictionary shares its (base, delta) layers with
+    /// `other`.
+    #[cfg(test)]
+    pub(crate) fn shares_layers(&self, other: &EntityStore) -> (bool, bool) {
+        (
+            Arc::ptr_eq(&self.base, &other.base),
+            Arc::ptr_eq(&self.delta, &other.delta),
+        )
+    }
+
+    /// The two layers, base first (ascending ids).
+    fn layers(&self) -> [&DictLayer; 2] {
+        [&self.base, &self.delta]
     }
 
     /// Fetches an entity by id.
@@ -425,22 +511,33 @@ impl EntityStore {
     /// Panics if the id was not produced by this store.
     #[inline]
     pub fn get(&self, id: EntityId) -> &Entity {
-        &self.entities[id.index()]
+        let i = id.index();
+        match self.base.entities.get(i) {
+            Some(e) => e,
+            None => &self.delta.entities[i - self.base.entities.len()],
+        }
     }
 
     /// Number of distinct entities.
     pub fn len(&self) -> usize {
-        self.entities.len()
+        self.base.entities.len() + self.delta.entities.len()
     }
 
     /// Whether the dictionary is empty.
     pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
+        self.len() == 0
     }
 
     /// Number of distinct entities of one kind.
     pub fn count_kind(&self, kind: EntityKind) -> usize {
-        self.by_kind[kind_slot(kind)].len()
+        let slot = kind_slot(kind);
+        self.layers().iter().map(|l| l.by_kind[slot].len()).sum()
+    }
+
+    /// Entities copied so far by copy-on-write of a layer a snapshot
+    /// shared, and by merges. Publishing itself copies none.
+    pub fn entries_copied(&self) -> u64 {
+        self.entries_copied
     }
 
     /// Read-only dedup probe: the id of an already-interned ⟨agent, attrs⟩
@@ -463,14 +560,9 @@ impl EntityStore {
         self.dedup_hits.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// All entities of a kind, in id order.
-    pub fn ids_of_kind(&self, kind: EntityKind) -> &[EntityId] {
-        &self.by_kind[kind_slot(kind)]
-    }
-
     /// Iterates all entities in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Entity> {
-        self.entities.iter()
+        self.base.entities.iter().chain(&self.delta.entities)
     }
 
     /// Resolves the set of entity ids of `kind` satisfying all `constraints`
@@ -517,11 +609,15 @@ impl EntityStore {
         };
         match candidates {
             Some(seed) => seed.into_iter().filter(|id| check(id)).collect(),
-            None => self.by_kind[kind_slot(kind)]
-                .iter()
-                .copied()
-                .filter(|id| check(id))
-                .collect(),
+            None => {
+                let slot = kind_slot(kind);
+                self.layers()
+                    .iter()
+                    .flat_map(|l| &l.by_kind[slot])
+                    .copied()
+                    .filter(|id| check(id))
+                    .collect()
+            }
         }
     }
 
@@ -529,103 +625,75 @@ impl EntityStore {
     /// returned id vector is **sorted and deduped** (dictionary-assigned ids
     /// ascend, so downstream posting-list merges can sort-merge).
     fn index_lookup(&self, kind: EntityKind, c: &EntityConstraint) -> Option<Vec<EntityId>> {
-        let attr = c.resolved_attr(kind);
-        match (kind, attr) {
-            (EntityKind::Process, "exe_name" | "name") => {
-                self.sym_index_lookup(&self.proc_by_name, &self.proc_dict, c)
-            }
-            (EntityKind::File, "name" | "path") => {
-                self.sym_index_lookup(&self.file_by_name, &self.file_dict, c)
-            }
-            (EntityKind::NetConn, "dst_ip" | "dstip") => match &c.cmp {
-                AttrCmp::Eq(Value::Ip(ip)) => Some(finish_ids(
-                    self.conn_by_dst.get(&ip.0).cloned().unwrap_or_default(),
-                )),
-                AttrCmp::Like(p) => {
-                    let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
-                        let mut out = Vec::new();
-                        for raw in keys {
-                            if let Some(ids) = self.conn_by_dst.get(raw) {
-                                out.extend_from_slice(ids);
-                            }
-                        }
-                        finish_ids(out)
-                    };
-                    if self.ngram_index {
-                        match self.conn_dict.resolve(p) {
-                            DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                            DictCandidates::Verify(keys) => {
-                                let verified: Vec<u32> = keys
-                                    .into_iter()
-                                    .filter(|raw| p.matches(&aiql_model::IpV4(*raw).to_string()))
-                                    .collect();
-                                return Some(resolve_keys(&verified));
-                            }
-                            DictCandidates::Scan => {}
-                        }
-                    }
-                    // Evaluate the pattern over distinct destination IPs.
-                    let mut out = Vec::new();
-                    for (raw, ids) in &self.conn_by_dst {
-                        let rendered = aiql_model::IpV4(*raw).to_string();
-                        if p.matches(&rendered) {
-                            out.extend_from_slice(ids);
-                        }
-                    }
-                    Some(finish_ids(out))
-                }
-                _ => None,
-            },
-            _ => None,
+        let indexed = match kind {
+            EntityKind::Process => matches!(c.resolved_attr(kind), "exe_name" | "name"),
+            EntityKind::File => matches!(c.resolved_attr(kind), "name" | "path"),
+            EntityKind::NetConn => matches!(c.resolved_attr(kind), "dst_ip" | "dstip"),
+        };
+        if !indexed {
+            return None;
         }
+        let key = match (kind, &c.cmp) {
+            (EntityKind::NetConn, AttrCmp::Eq(Value::Ip(ip))) => ip.0,
+            (EntityKind::Process | EntityKind::File, AttrCmp::Eq(Value::Str(sym))) => sym.raw(),
+            (_, AttrCmp::Like(p)) => return Some(self.like_lookup(kind, p)),
+            _ => return None,
+        };
+        // Base ids precede delta ids: the concatenation stays ascending.
+        let slot = kind_slot(kind);
+        Some(
+            self.layers()
+                .iter()
+                .filter_map(|l| l.keys[slot].postings.get(&key))
+                .flatten()
+                .copied()
+                .collect(),
+        )
     }
 
-    fn sym_index_lookup(
-        &self,
-        index: &HashMap<Symbol, Vec<EntityId>>,
-        dict: &DictIndex,
-        c: &EntityConstraint,
-    ) -> Option<Vec<EntityId>> {
-        match &c.cmp {
-            AttrCmp::Eq(Value::Str(sym)) => {
-                Some(finish_ids(index.get(sym).cloned().unwrap_or_default()))
-            }
-            AttrCmp::Like(p) => {
-                let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
-                    let mut out = Vec::new();
-                    for &raw in keys {
-                        if let Some(ids) = index.get(&Symbol(raw)) {
-                            out.extend_from_slice(ids);
-                        }
-                    }
-                    finish_ids(out)
-                };
-                if self.ngram_index {
-                    match dict.resolve(p) {
-                        DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                        DictCandidates::Verify(keys) => {
-                            let verified: Vec<u32> = keys
-                                .into_iter()
-                                .filter(|&raw| p.matches(self.interner.resolve(Symbol(raw))))
-                                .collect();
-                            return Some(resolve_keys(&verified));
-                        }
-                        DictCandidates::Scan => {}
-                    }
+    /// The entities of `kind` whose key attribute matches a `LIKE` pattern.
+    /// Each layer's n-gram index resolves the keys first seen there, so the
+    /// two layers' key lists are disjoint (casings of one name are distinct
+    /// keys and may sit in different layers); each key then collects its
+    /// entities from both layers.
+    fn like_lookup(&self, kind: EntityKind, p: &StringPattern) -> Vec<EntityId> {
+        let slot = kind_slot(kind);
+        let matches = |key: u32| p.matches(&render_key(&self.interner, kind, key));
+        let mut keys: Vec<u32> = Vec::new();
+        let mut scan = !self.ngram_index;
+        if self.ngram_index {
+            for layer in self.layers() {
+                match layer.keys[slot].dict.resolve(p) {
+                    DictCandidates::Definitive(k) => keys.extend(k),
+                    DictCandidates::Verify(k) => keys.extend(k.into_iter().filter(|&k| matches(k))),
+                    DictCandidates::Scan => scan = true,
                 }
-                // Evaluate the pattern once per *distinct* string — the core
-                // dictionary-vs-events asymmetry (and the n-gram fallback
-                // when no literal run is trigram-sized).
-                let mut out = Vec::new();
-                for (sym, ids) in index {
-                    if p.matches(self.interner.resolve(*sym)) {
-                        out.extend_from_slice(ids);
-                    }
-                }
-                Some(finish_ids(out))
             }
-            _ => None,
         }
+        if scan {
+            // Evaluate the pattern once per *distinct* key — the core
+            // dictionary-vs-events asymmetry (and the n-gram fallback when
+            // no literal run is trigram-sized).
+            let (base, delta) = (
+                &self.base.keys[slot].postings,
+                &self.delta.keys[slot].postings,
+            );
+            keys = base
+                .keys()
+                .chain(delta.keys().filter(|k| !base.contains_key(k)))
+                .copied()
+                .filter(|&k| matches(k))
+                .collect();
+        }
+        let mut ids = Vec::new();
+        for key in keys {
+            for layer in self.layers() {
+                if let Some(l) = layer.keys[slot].postings.get(&key) {
+                    ids.extend_from_slice(l);
+                }
+            }
+        }
+        finish_ids(ids)
     }
 
     /// Evaluates one constraint against one entity.
@@ -948,5 +1016,315 @@ mod tests {
         );
         assert_eq!(found.len(), 3);
         assert!(found.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Names with casing variants of one rendering (`cmd.exe`), shared
+    /// trigrams (`sql`) and sub-trigram lengths.
+    const NAMES: [&str; 12] = [
+        "cmd.exe",
+        "CMD.EXE",
+        "Cmd.Exe",
+        "osql.exe",
+        "sqlservr.exe",
+        "backup1.dmp",
+        "/var/www/info_stealer.sh",
+        "sbblv.exe",
+        "C:\\Windows\\cmd.exe",
+        "a",
+        "ab",
+        "",
+    ];
+    const USERS: [&str; 2] = ["alice", "root"];
+    const IPS: [IpV4; 5] = [
+        IpV4::from_octets(10, 0, 4, 1),
+        IpV4::from_octets(10, 0, 4, 129),
+        IpV4::from_octets(172, 16, 99, 129),
+        IpV4::from_octets(172, 16, 99, 13),
+        IpV4::from_octets(10, 0, 0, 5),
+    ];
+    const NAME_PATTERNS: [&str; 18] = [
+        "cmd.exe",
+        "CMD.exe",
+        "c%",
+        "cmd%",
+        "C:\\%",
+        "%.exe",
+        "%exe",
+        "%sql%",
+        "_md.exe",
+        "%o_ql%",
+        "%info_stealer%",
+        "/var/%",
+        "%",
+        "",
+        "ab",
+        "a_",
+        "%zz%",
+        "backup1.dmp",
+    ];
+    const IP_PATTERNS: [&str; 7] = [
+        "10.0.4.%",
+        "%.129",
+        "172.16.99.129",
+        "%.1_",
+        "1_.0.%",
+        "%99%",
+        "%",
+    ];
+
+    /// The brute-force model: every string interned and every entity
+    /// observed, in order. Distinct entities and their ids come from a
+    /// first-occurrence scan of an observation prefix.
+    #[derive(Default)]
+    struct Oracle {
+        strings: Vec<String>,
+        observations: Vec<(AgentId, EntityAttrs)>,
+    }
+
+    impl Oracle {
+        fn intern_str(&mut self, s: &str) -> Symbol {
+            match self.strings.iter().position(|x| x == s) {
+                Some(i) => Symbol(i as u32),
+                None => {
+                    self.strings.push(s.to_string());
+                    Symbol(self.strings.len() as u32 - 1)
+                }
+            }
+        }
+    }
+
+    /// Distinct observations of a prefix, in first-occurrence (id) order.
+    fn distinct(observations: &[(AgentId, EntityAttrs)]) -> Vec<(AgentId, EntityAttrs)> {
+        let mut out: Vec<(AgentId, EntityAttrs)> = Vec::new();
+        for o in observations {
+            if !out.contains(o) {
+                out.push(*o);
+            }
+        }
+        out
+    }
+
+    /// The oracle's own reading of one constraint, over raw strings.
+    fn oracle_holds(strings: &[String], attrs: &EntityAttrs, c: &EntityConstraint) -> bool {
+        let text = |sym: Symbol| strings[sym.raw() as usize].as_str();
+        match (attrs, c.attr.as_str(), &c.cmp) {
+            (EntityAttrs::Process(p), "pid", AttrCmp::Lt(Value::Int(n))) => i64::from(p.pid) < *n,
+            (EntityAttrs::Process(p), "", cmp) => text_holds(text(p.exe_name), cmp, &text),
+            (EntityAttrs::File(f), "", cmp) => text_holds(text(f.name), cmp, &text),
+            (EntityAttrs::NetConn(n), "", AttrCmp::Eq(Value::Ip(ip))) => n.dst_ip == *ip,
+            (EntityAttrs::NetConn(n), "", AttrCmp::Lt(Value::Ip(ip))) => n.dst_ip.0 < ip.0,
+            (EntityAttrs::NetConn(n), "", AttrCmp::Like(p)) => p.matches(&n.dst_ip.to_string()),
+            // A constraint aimed at another kind's attribute never holds.
+            _ => false,
+        }
+    }
+
+    fn text_holds<'a>(actual: &str, cmp: &AttrCmp, text: &impl Fn(Symbol) -> &'a str) -> bool {
+        match cmp {
+            AttrCmp::Eq(Value::Str(sym)) => actual == text(*sym),
+            AttrCmp::Ne(Value::Str(sym)) => actual != text(*sym),
+            AttrCmp::Like(p) => p.matches(actual),
+            _ => false,
+        }
+    }
+
+    /// The probes run on every snapshot: each pairs with every agent
+    /// restriction below.
+    fn probes(strings: &[String]) -> Vec<(EntityKind, Vec<EntityConstraint>)> {
+        let mut out = Vec::new();
+        for kind in [EntityKind::Process, EntityKind::File, EntityKind::NetConn] {
+            out.push((kind, Vec::new()));
+        }
+        for (i, s) in strings.iter().enumerate() {
+            if NAMES.contains(&s.as_str()) {
+                let v = Value::Str(Symbol(i as u32));
+                for kind in [EntityKind::Process, EntityKind::File] {
+                    out.push((kind, vec![EntityConstraint::on_default(AttrCmp::Eq(v))]));
+                    out.push((kind, vec![EntityConstraint::on_default(AttrCmp::Ne(v))]));
+                }
+            }
+        }
+        for pat in NAME_PATTERNS {
+            let like = EntityConstraint::on_default(AttrCmp::Like(StringPattern::new(pat)));
+            out.push((EntityKind::Process, vec![like.clone()]));
+            out.push((EntityKind::File, vec![like.clone()]));
+            out.push((
+                EntityKind::Process,
+                vec![
+                    like,
+                    EntityConstraint::on("pid", AttrCmp::Lt(Value::Int(2))),
+                ],
+            ));
+        }
+        for ip in &IPS[..3] {
+            let eq = EntityConstraint::on_default(AttrCmp::Eq(Value::Ip(*ip)));
+            let lt = EntityConstraint::on_default(AttrCmp::Lt(Value::Ip(*ip)));
+            out.push((EntityKind::NetConn, vec![eq]));
+            out.push((EntityKind::NetConn, vec![lt]));
+        }
+        for pat in IP_PATTERNS {
+            let like = EntityConstraint::on_default(AttrCmp::Like(StringPattern::new(pat)));
+            out.push((EntityKind::NetConn, vec![like]));
+        }
+        out
+    }
+
+    /// Checks one dictionary against the oracle's prefix
+    /// (`strings`, `observations`).
+    fn check_against_oracle(
+        store: &EntityStore,
+        strings: &[String],
+        observations: &[(AgentId, EntityAttrs)],
+    ) {
+        let want = distinct(observations);
+        // Interner: every symbol resolves, every string (and only those)
+        // looks up.
+        let interner = store.interner();
+        assert_eq!(interner.len(), strings.len());
+        for (i, s) in strings.iter().enumerate() {
+            assert_eq!(interner.resolve(Symbol(i as u32)), s);
+            assert_eq!(interner.get(s), Some(Symbol(i as u32)));
+        }
+        for s in NAMES.iter().chain(&USERS) {
+            if !strings.iter().any(|x| x == s) {
+                assert_eq!(interner.get(s), None, "{s:?} is not interned yet");
+            }
+        }
+        // Entities: len, get, iter order, per-kind counts.
+        assert_eq!(store.len(), want.len());
+        let got: Vec<Entity> = store.iter().copied().collect();
+        for (i, (agent, attrs)) in want.iter().enumerate() {
+            let e = Entity {
+                id: EntityId(i as u32),
+                agent: *agent,
+                attrs: *attrs,
+            };
+            assert_eq!(*store.get(e.id), e);
+            assert_eq!(got[i], e);
+        }
+        assert_eq!(got.len(), want.len());
+        for kind in [EntityKind::Process, EntityKind::File, EntityKind::NetConn] {
+            let n = want.iter().filter(|(_, a)| a.kind() == kind).count();
+            assert_eq!(store.count_kind(kind), n);
+        }
+        // find: every probe under every agent restriction.
+        let restrictions: [Option<&[AgentId]>; 6] = [
+            None,
+            Some(&[]),
+            Some(&[AgentId(0)]),
+            Some(&[AgentId(3), AgentId(1)]),
+            Some(&[AgentId(0), AgentId(1), AgentId(2), AgentId(3)]),
+            Some(&[AgentId(9), AgentId(2), AgentId(0), AgentId(3), AgentId(1)]),
+        ];
+        for (kind, constraints) in probes(strings) {
+            for agents in restrictions {
+                let expect: Vec<EntityId> = want
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (agent, attrs))| {
+                        attrs.kind() == kind
+                            && agents.is_none_or(|a| a.contains(agent))
+                            && constraints.iter().all(|c| oracle_holds(strings, attrs, c))
+                    })
+                    .map(|(i, _)| EntityId(i as u32))
+                    .collect();
+                assert_eq!(
+                    store.find(kind, agents, &constraints),
+                    expect,
+                    "{kind:?} {constraints:?} agents {agents:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random interning, publishing and merges: every published view
+        /// answers exactly like a brute-force filter over the observations
+        /// made before it was published, then and after everything that
+        /// follows.
+        #[test]
+        fn layered_dictionary_matches_brute_force_oracle(
+            ops in proptest::collection::vec((0u8..16, 0usize..64, 0u32..64), 1..160),
+            ngram_index in proptest::prelude::any::<bool>(),
+        ) {
+            let mut store = EntityStore::with_ngram_index(ngram_index);
+            let mut oracle = Oracle::default();
+            oracle.intern_str("");
+            let mut views: Vec<(EntityStore, usize, usize)> = Vec::new();
+            for (op, a, b) in ops {
+                let agent = AgentId(((a / NAMES.len()) as u32 + b) % 4);
+                let name = NAMES[a % NAMES.len()];
+                let user = USERS[b as usize % USERS.len()];
+                let attrs = match op {
+                    0..=3 => {
+                        let exe = store.interner_mut().intern(name);
+                        let u = store.interner_mut().intern(user);
+                        let cmd = store.interner_mut().intern("");
+                        for s in [name, user, ""] {
+                            oracle.intern_str(s);
+                        }
+                        Some(EntityAttrs::Process(ProcessAttrs {
+                            pid: b % 3,
+                            exe_name: exe,
+                            user: u,
+                            cmdline: cmd,
+                        }))
+                    }
+                    4..=6 => {
+                        let n = store.interner_mut().intern(name);
+                        let o = store.interner_mut().intern(user);
+                        oracle.intern_str(name);
+                        oracle.intern_str(user);
+                        Some(EntityAttrs::File(FileAttrs { name: n, owner: o }))
+                    }
+                    7..=8 => Some(EntityAttrs::NetConn(NetConnAttrs {
+                        src_ip: IPS[4],
+                        src_port: 5000 + (b % 2) as u16,
+                        dst_ip: IPS[a % IPS.len()],
+                        dst_port: 443,
+                        protocol: Protocol::Tcp,
+                    })),
+                    // A bare string: later entities then carry symbols
+                    // interned long before their first use.
+                    9 => {
+                        store.interner_mut().intern(name);
+                        oracle.intern_str(name);
+                        None
+                    }
+                    10..=11 => {
+                        let view = store.read_view();
+                        check_against_oracle(&view, &oracle.strings, &oracle.observations);
+                        views.push((view, oracle.strings.len(), oracle.observations.len()));
+                        None
+                    }
+                    12 => {
+                        store.merge();
+                        None
+                    }
+                    // A repeat of an earlier observation (a dedup hit).
+                    _ => oracle.observations.get(a % oracle.observations.len().max(1)).map(|o| o.1),
+                };
+                if let Some(attrs) = attrs {
+                    let agent = if op >= 13 {
+                        oracle.observations[a % oracle.observations.len()].0
+                    } else {
+                        agent
+                    };
+                    store.intern(agent, attrs);
+                    oracle.observations.push((agent, attrs));
+                }
+            }
+            check_against_oracle(&store, &oracle.strings, &oracle.observations);
+            // Pinned views never change under later interning or merges.
+            for (view, strings, observations) in &views {
+                check_against_oracle(
+                    view,
+                    &oracle.strings[..*strings],
+                    &oracle.observations[..*observations],
+                );
+            }
+        }
     }
 }

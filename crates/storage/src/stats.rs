@@ -62,6 +62,10 @@ pub struct StoreStats {
     /// in by [`SharedStore::stats`](crate::SharedStore::stats); always 0 on
     /// a bare store).
     pub reader_stalls: u64,
+    /// Entity-dictionary entries copied so far, cumulatively: deltas a
+    /// published snapshot shared, copied before the writer's next intern,
+    /// and layers copied or appended by delta merges.
+    pub dict_entries_copied: u64,
 }
 
 impl StoreStats {
@@ -113,6 +117,7 @@ mod tests {
             novelty_bytes: 492,
             novelty_flushes: 5,
             reader_stalls: 1,
+            dict_entries_copied: 0,
         };
         let text = s.summary();
         assert!(text.contains("1000 events"));

@@ -122,9 +122,12 @@ static NEXT_STORE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 /// Cloning is cheap — O(partitions + segments), not O(events): sealed
 /// segments and the entity dictionary are `Arc`-shared with the clone, and
 /// only the (bounded) novelty overlays copy on the next write to either
-/// side. [`SharedStore`] publishes read snapshots this way. A clone shares
-/// the original's `store_id` and epoch vector, so plan-cache entries
-/// validated against a snapshot stay keyed exactly like the live store.
+/// side. [`SharedStore`] publishes read snapshots this way, handing each a
+/// read view of the layered dictionary: a frozen base and a small delta,
+/// both shared, so the writer later copies at most the delta. A clone
+/// shares the original's `store_id` and epoch vector, so plan-cache
+/// entries validated against a snapshot stay keyed exactly like the live
+/// store.
 #[derive(Debug, Clone)]
 pub struct EventStore {
     config: StoreConfig,
@@ -268,12 +271,26 @@ impl EventStore {
     }
 
     /// Mutable entity dictionary (snapshot loading interns through this).
-    /// Copy-on-write: when a published snapshot still shares the
-    /// dictionary `Arc`, this clones it first.
+    /// Copy-on-write: when a clone of this store still shares the
+    /// dictionary `Arc`, this copies the writer-side dedup map; the
+    /// dictionary layers stay shared until an intern touches them.
     pub fn entities_mut(&mut self) -> &mut EntityStore {
         self.epoch += 1;
         self.dict_epoch += 1;
         Arc::make_mut(&mut self.entities)
+    }
+
+    /// The store as a read snapshot publishes it: sealed segments and
+    /// overlays shared by `Arc`, and a read view of the dictionary that
+    /// shares its layers (see [`EntityStore`]) without the writer-only
+    /// dedup map. The writer's own dictionary `Arc` is never handed out, so
+    /// its `Arc::make_mut` stays the free unique-owner path, and the
+    /// publish copies nothing that grows with the dictionary.
+    pub(crate) fn publish_clone(&self) -> EventStore {
+        EventStore {
+            entities: Arc::new(self.entities.read_view()),
+            ..self.clone()
+        }
     }
 
     /// Shared string dictionary.
@@ -774,6 +791,7 @@ impl EventStore {
             novelty_bytes: novelty_events * 41,
             novelty_flushes: self.novelty_flushes,
             reader_stalls: 0,
+            dict_entries_copied: self.entities.entries_copied(),
         }
     }
 
@@ -924,14 +942,6 @@ struct SharedInner {
     reader_stalls: std::sync::atomic::AtomicU64,
     /// Background-maintenance wiring (executor + drain token).
     maintenance: std::sync::Mutex<Maintenance>,
-    /// The dictionary copy the published snapshots share, keyed by the
-    /// dict epoch it was taken at. Re-cloned (minus the ingest-only dedup
-    /// map) only when a commit actually grew the dictionary; batches that
-    /// hit the dedup fast path republish the same `Arc`. Handing snapshots
-    /// their *own* dictionary keeps the writer's `Arc` permanently unique,
-    /// so ingest never pays `Arc::make_mut`'s full-dictionary copy on the
-    /// commit path.
-    dict_cache: std::sync::Mutex<Option<(u64, Arc<EntityStore>)>>,
 }
 
 /// A cloneable, thread-safe handle to a store.
@@ -940,7 +950,9 @@ struct SharedInner {
 ///
 /// * **Snapshot mode** ([`SharedStore::new`], the default): every write
 ///   publishes an immutable epoch-tagged `Arc` clone of the store (cheap —
-///   sealed segments and dictionaries are shared). [`SharedStore::read`]
+///   sealed segments and both layers of the entity dictionary are shared,
+///   so a publish is O(partitions + segments) whatever the dictionary's
+///   size). [`SharedStore::read`]
 ///   pins the current snapshot with a pointer clone and runs entirely
 ///   lock-free: queries never block ingest, ingest never blocks queries,
 ///   and a query sees one consistent store state for its whole run.
@@ -955,8 +967,7 @@ pub struct SharedStore {
 impl SharedStore {
     /// Wraps a store in snapshot mode: reads pin published snapshots.
     pub fn new(store: EventStore) -> Self {
-        let dict_cache = std::sync::Mutex::new(None);
-        let snapshot = Arc::new(Self::publish_clone(&store, &dict_cache));
+        let snapshot = Arc::new(store.publish_clone());
         SharedStore {
             inner: Arc::new(SharedInner {
                 writer: RwLock::new(store),
@@ -966,7 +977,6 @@ impl SharedStore {
                     executor: None,
                     cancel: CancelToken::new(),
                 }),
-                dict_cache,
             }),
         }
     }
@@ -984,32 +994,8 @@ impl SharedStore {
                     executor: None,
                     cancel: CancelToken::new(),
                 }),
-                dict_cache: std::sync::Mutex::new(None),
             }),
         }
-    }
-
-    /// The snapshot to publish after a write: shares sealed segments and
-    /// overlays by `Arc`, and swaps in the cached read-only dictionary —
-    /// re-copied via [`EntityStore::clone_for_read`] only when this write
-    /// moved the dict epoch. The writer's own dictionary `Arc` is never
-    /// handed out, so its `Arc::make_mut` stays the free unique-owner path
-    /// on every subsequent commit.
-    fn publish_clone(
-        store: &EventStore,
-        cache: &std::sync::Mutex<Option<(u64, Arc<EntityStore>)>>,
-    ) -> EventStore {
-        let mut snap = store.clone();
-        let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-        snap.entities = match cache.as_ref() {
-            Some((epoch, dict)) if *epoch == store.dict_epoch => dict.clone(),
-            _ => {
-                let dict = Arc::new(store.entities.clone_for_read());
-                *cache = Some((store.dict_epoch, dict.clone()));
-                dict
-            }
-        };
-        snap
     }
 
     /// Pins the current immutable snapshot: an epoch-tagged `Arc` the
@@ -1067,7 +1053,7 @@ impl SharedStore {
             .unwrap_or_else(|e| e.into_inner())
             .is_some();
         let pending = if snapshot_mode {
-            let snap = Arc::new(Self::publish_clone(&guard, &self.inner.dict_cache));
+            let snap = Arc::new(guard.publish_clone());
             *self
                 .inner
                 .published
@@ -1749,31 +1735,39 @@ mod tests {
     }
 
     #[test]
-    fn publishes_share_one_dictionary_copy_per_dict_epoch() {
+    fn publishes_share_dictionary_layers() {
+        use crate::entities::{AttrCmp, EntityConstraint};
+        use aiql_model::{EntityKind, StringPattern, Value};
         let shared = SharedStore::new(EventStore::default());
         shared.write(|s| {
             s.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 10, 100)]);
         });
         let s1 = shared.snapshot();
-        // A batch of pure dedup hits leaves the dict epoch alone: the next
-        // publish re-shares the same dictionary Arc instead of copying.
+        // A batch of pure dedup hits leaves the dict epoch alone and the
+        // next publish shares both dictionary layers.
         shared.write(|s| {
             s.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 3_000, 7)]);
         });
         let s2 = shared.snapshot();
-        assert!(
-            Arc::ptr_eq(&s1.entities, &s2.entities),
-            "dedup-only batch must republish the cached dictionary"
+        assert_eq!(s2.dict_epoch(), s1.dict_epoch());
+        assert_eq!(
+            s1.entities().shares_layers(s2.entities()),
+            (true, true),
+            "dedup-only batch must share base and delta"
         );
-        // A genuinely novel entity moves the epoch: the snapshot gets a
-        // fresh copy, the writer's Arc stays unique (no make_mut copy), and
-        // its dedup map still merges repeats.
+        // A genuinely novel entity moves the epoch. The writer copies only
+        // the delta: consecutive snapshots still share the base.
         shared.write(|s| {
             s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 20, 1)]);
         });
         let s3 = shared.snapshot();
-        assert!(!Arc::ptr_eq(&s2.entities, &s3.entities));
-        let entities_now = s3.entities.len();
+        assert!(s3.dict_epoch() > s2.dict_epoch());
+        assert_eq!(s2.entities().shares_layers(s3.entities()), (true, false));
+        // Visible to the next snapshot, invisible to the pinned one.
+        let entities_now = s3.entities().len();
+        assert_eq!(entities_now, s2.entities().len() + 2);
+        assert!(s2.interner().get("vim").is_none());
+        // Writer-side dedup still merges repeats after publishing.
         shared.write(|s| {
             s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 25, 1)]);
         });
@@ -1782,23 +1776,26 @@ mod tests {
             entities_now,
             "writer-side dedup must still recognize repeats after publishing"
         );
-        // Snapshots resolve their own entities even though their dedup map
-        // is intentionally empty.
+        // The snapshot resolves the new entity by Eq and by LIKE even
+        // though its dedup map is intentionally empty.
         let sym = s3
             .interner()
             .get("vim")
             .expect("snapshot interner carries the new name");
-        let ids = s3.entities().find(
-            aiql_model::EntityKind::Process,
-            None,
-            &[crate::entities::EntityConstraint::on_default(
-                crate::entities::AttrCmp::Eq(aiql_model::Value::Str(sym)),
-            )],
-        );
-        assert!(
-            !ids.is_empty(),
+        let find = |cmp| {
+            s3.entities().find(
+                EntityKind::Process,
+                None,
+                &[EntityConstraint::on_default(cmp)],
+            )
+        };
+        let by_eq = find(AttrCmp::Eq(Value::Str(sym)));
+        assert_eq!(
+            by_eq.len(),
+            1,
             "snapshot dictionary must resolve the new entity"
         );
+        assert_eq!(find(AttrCmp::Like(StringPattern::new("%vi%"))), by_eq);
     }
 
     #[test]
@@ -1818,24 +1815,42 @@ mod tests {
     }
 
     #[test]
-    fn repeat_ingest_shares_dictionary_with_snapshots() {
+    fn entities_mut_keeps_layers_shared() {
+        let mut store = EventStore::default();
+        store.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 10, 100)]);
+        let snapshot = store.clone();
+        // Mutable access copies the writer-side dedup map, not the layers.
+        store.entities_mut();
+        assert_eq!(
+            store.entities().shares_layers(snapshot.entities()),
+            (true, true)
+        );
+        assert_eq!(store.stats().dict_entries_copied, 0);
+    }
+
+    #[test]
+    fn repeat_ingest_leaves_shared_layers_untouched() {
         let mut store = EventStore::default();
         store.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 10, 100)]);
         let snapshot = store.clone();
         let dict_epoch = store.dict_epoch();
-        // Same entities again: the read-only fast path must neither clone
-        // the dictionary nor move the dictionary epoch.
+        // Same entities again: the read-only fast path must neither copy a
+        // layer nor move the dictionary epoch.
         store.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 20, 100)]);
         assert_eq!(store.dict_epoch(), dict_epoch);
-        assert!(
-            Arc::ptr_eq(&store.entities, &snapshot.entities),
+        assert_eq!(
+            store.entities().shares_layers(snapshot.entities()),
+            (true, true),
             "dedup-hit ingest must not copy the shared dictionary"
         );
         assert!(store.entities().dedup_hits() >= 2);
-        // A novel entity takes the copy-on-write path and bumps the epoch.
+        // A novel entity copies the delta only and bumps the epoch.
         store.ingest_all(&[raw(1, Operation::Read, "wget", "/tmp/drop", 30, 1)]);
         assert!(store.dict_epoch() > dict_epoch);
-        assert!(!Arc::ptr_eq(&store.entities, &snapshot.entities));
+        assert_eq!(
+            store.entities().shares_layers(snapshot.entities()),
+            (true, false)
+        );
         assert_eq!(snapshot.entities().len(), 2, "snapshot kept its version");
     }
 
