@@ -44,19 +44,23 @@ pub struct EngineConfig {
     /// for engines that need an isolated worker set of exactly
     /// `parallelism` threads.
     pub shared_scan_pool: bool,
-    /// Partition the multi-way join's tuple frontier across the scan
-    /// executor (contiguous ranges merged deterministically, so results
-    /// are byte-identical to the serial join). Disabled, every join step
-    /// runs on the query thread.
+    /// Run the multi-way join in parallel on the scan executor: the drive's
+    /// seed runs are sharded over the workers and merged in ascending seed
+    /// order, and large step indexes build in key-hash shards, so results
+    /// are byte-identical to the serial join. Disabled, the whole join runs
+    /// on the query thread.
     pub parallel_join: bool,
-    /// Join partition count. 0 = auto: `4 × parallelism` partitions once a
-    /// step's probe work clears [`EngineConfig::parallel_join_min_work`]. A
-    /// non-zero value forces exactly that many partitions on every step big
-    /// enough to split (ablation and differential tests pin this).
+    /// Join fan-out override. 0 = auto: the drive shards its seed runs once
+    /// the seed clears [`EngineConfig::parallel_join_min_work`] tuples, and
+    /// a step index builds in `2 × parallelism` shards once its candidates
+    /// clear [`EngineConfig::parallel_index_min_build`]. A non-zero value
+    /// forces the parallel drive whenever the seed spans two or more runs,
+    /// and exactly that many index shards (ablation and differential tests pin
+    /// this).
     pub join_partitions: usize,
-    /// Minimum per-step probe work (frontier tuples, or candidates for the
-    /// first pattern) before the join fans out in auto mode. Below this the
-    /// fork/merge overhead outweighs the step.
+    /// Minimum seed size (tuples of the first joined pattern) before the
+    /// join drive shards its seed runs in auto mode. Below this the
+    /// fork/merge overhead outweighs the drive.
     pub parallel_join_min_work: usize,
     /// Minimum candidate-list size before a join step's hash-index *build*
     /// fans out into key-hash shards in auto mode. Below this the two-phase
@@ -72,13 +76,6 @@ pub struct EngineConfig {
     /// time columns per (tuple, candidate) pair. Results are byte-identical
     /// either way.
     pub time_bucket_join: bool,
-    /// Re-partition the parallel join probe by join key: each executor
-    /// shard probes only its locally built shard of the index (aligned with
-    /// the scatter/gather build), and shard outputs merge back in frontier
-    /// order, so results stay byte-identical to the serial traversal.
-    /// Applies to parallel steps with bound variables and a sharded index;
-    /// other steps keep the contiguous frontier-range partitioning.
-    pub partitioned_probe: bool,
     /// Sideways filter pushdown: pattern scans publish bitmap filters over
     /// their candidates' join-key domains, and the join uses them to (a)
     /// drop build-side candidates no frontier tuple can probe, (b) skip
@@ -87,22 +84,12 @@ pub struct EngineConfig {
     /// ever joined. All three are output-invisible: results (including
     /// truncation prefixes) are byte-identical with the flag off.
     pub sideways_filters: bool,
-    /// Demand-driven blocked join drive: instead of materializing each join
-    /// step's full frontier breadth-first, take the seed frontier in runs of
-    /// [`EngineConfig::join_block_tuples`] tuples and drive each run
-    /// depth-first through every remaining step, reusing the per-step
-    /// indexes (still built once, up front). Runs are merged in ascending
-    /// seed order, so uncapped results are byte-identical to the
-    /// breadth-first drive; when `max_intermediate` or a governor budget
-    /// trips, the output is a prefix *in nested-loop emission order* of the
-    /// untruncated result — a strictly stronger contract than breadth-first
-    /// truncation. Applies to multievent joins with ≥ 2 patterns on the
-    /// late-materialization path.
-    pub blocked_join_drive: bool,
-    /// Seed-frontier run size (in tuples) for the blocked join drive. The
-    /// result is byte-identical across block sizes; smaller blocks bound
-    /// live intermediate state more tightly, larger blocks amortize
-    /// per-run overhead.
+    /// Seed-frontier run size (in tuples) for the demand-driven blocked join
+    /// drive, which takes the seed in runs of this many tuples and drives
+    /// each run depth-first through every remaining step. The result is
+    /// byte-identical across block sizes; smaller blocks bound live
+    /// intermediate state more tightly, larger blocks amortize per-run
+    /// overhead.
     pub join_block_tuples: usize,
     /// Memoize dictionary constraint resolutions and filter estimates in
     /// an LRU shared by every query this engine (and its clones) runs —
@@ -159,9 +146,7 @@ impl Default for EngineConfig {
             parallel_join_min_work: 1024,
             parallel_index_min_build: 4096,
             time_bucket_join: true,
-            partitioned_probe: true,
             sideways_filters: true,
-            blocked_join_drive: true,
             join_block_tuples: 4096,
             plan_cache: true,
             compiled_projection: true,
@@ -195,9 +180,7 @@ impl EngineConfig {
             parallel_join_min_work: 1024,
             parallel_index_min_build: 4096,
             time_bucket_join: false,
-            partitioned_probe: false,
             sideways_filters: false,
-            blocked_join_drive: false,
             join_block_tuples: 4096,
             plan_cache: false,
             compiled_projection: false,

@@ -310,29 +310,13 @@ fn operator_tree(
             }
         })
         .collect();
-    let join_fanout =
-        if config.parallel_join && config.scan_pool && config.partition_parallel && threads > 1 {
-            if config.join_partitions > 0 {
-                config.join_partitions
-            } else {
-                threads * 4
-            }
-        } else {
-            1
-        };
-    // The blocked demand-driven drive takes over multievent joins; its
-    // work unit is the seed run, not a frontier range, and it probes whole
-    // indexes rather than per-worker key shards.
-    let blocked = config.blocked_join_drive && a.patterns.len() >= 2;
+    let parallel_join =
+        config.parallel_join && config.scan_pool && config.partition_parallel && threads > 1;
     // The probe-reduction layers in effect (time buckets only matter when
-    // a temporal relation exists to prune by; the partitioned probe only
-    // when the drive can fan out breadth-first).
+    // a temporal relation exists to prune by).
     let mut layers: Vec<&str> = Vec::new();
     if config.time_bucket_join && !a.temporal.is_empty() {
         layers.push("time-bucket");
-    }
-    if config.partitioned_probe && join_fanout > 1 && !blocked {
-        layers.push("key-partitioned probe");
     }
     if config.sideways_filters {
         layers.push("sideways filters");
@@ -343,22 +327,18 @@ fn operator_tree(
             "{} pattern(s), {} temporal relation(s) | {} | max_intermediate {}{}",
             a.patterns.len(),
             a.temporal.len(),
-            if blocked {
-                if join_fanout > 1 {
-                    format!(
-                        "demand-driven blocked({}) drive, parallel ×{threads} worker(s)",
-                        config.join_block_tuples
-                    )
-                } else {
-                    format!(
-                        "demand-driven blocked({}) drive, serial",
-                        config.join_block_tuples
-                    )
-                }
-            } else if join_fanout > 1 {
-                format!("parallel ×{join_fanout} frontier partition(s)")
+            if !config.late_materialization {
+                "materializing join, serial".to_string()
+            } else if parallel_join {
+                format!(
+                    "demand-driven blocked({}) drive, parallel ×{threads} worker(s)",
+                    config.join_block_tuples
+                )
             } else {
-                "serial".to_string()
+                format!(
+                    "demand-driven blocked({}) drive, serial",
+                    config.join_block_tuples
+                )
             },
             config.max_intermediate,
             if layers.is_empty() {
@@ -556,7 +536,10 @@ mod tests {
         };
         let plan = explain(&store, &q, &config).unwrap();
         assert_eq!(plan.operators.kind, "Project");
-        assert!(plan.operators.children[0].detail.contains("serial"));
+        // One-pattern joins run on the blocked drive too.
+        assert!(plan.operators.children[0]
+            .detail
+            .contains("demand-driven blocked(4096) drive, serial"));
     }
 
     #[test]

@@ -1,91 +1,37 @@
 //! `TemporalJoin`: the multi-way hash join over per-pattern candidate
 //! batches, verifying shared-variable equality and temporal relationships.
 //!
-//! Patterns join smallest-candidate-list first. Each step indexes the
-//! pattern's candidates by the entity ids of the variables the frontier
-//! already binds (a pattern binds at most two variables, so the key packs
-//! into one `u64`), probes the index for every frontier tuple, and appends
-//! the surviving extensions.
+//! Patterns join smallest-candidate-list first, each later pick connected
+//! to the placed ones. Every step indexes its pattern's candidates by the
+//! entity ids of the variables the placed patterns already bind (a pattern
+//! binds at most two variables, so the key packs into one `u64`). The
+//! first (seed) step binds nothing: its index holds every candidate under
+//! one key, which one proto tuple probes.
 //!
-//! ## Parallel join
+//! ## The blocked demand-driven drive
 //!
-//! With `EngineConfig::parallel_join`, a step whose frontier is large
-//! enough is partitioned into contiguous tuple ranges (for the first
-//! pattern — a single proto tuple — the candidate list itself is
-//! partitioned, which follows storage-partition order) and the partitions
-//! are driven concurrently on the shared scan executor. Each partition
-//! appends into a private arena; partials merge back **in partition
-//! order**, so the frontier is byte-identical to the serial traversal.
-//!
-//! For large candidate lists on steps with bound variables, the step's
-//! hash index is itself built in parallel: candidates scatter into
-//! key-hash shards on the executor, each shard's map is gathered in
-//! candidate order, and probes hash to their shard ([`StepIndex`]) — the
-//! index contents (and therefore the frontier) are byte-identical to the
-//! serial build. `OpStat` splits the join's time into `build_nanos` vs
-//! `probe_nanos` so the two parallelisms are separately visible.
-//!
-//! `max_intermediate` is enforced through a shared atomic budget: each
-//! finished partition publishes its tuple count, and a running partition
-//! stops once it has produced as many tuples as could still be kept given
-//! the published counts of the partitions ordered before it (their final
-//! counts only grow, so stopping is always sound). The merged frontier is
-//! truncated to `max_intermediate`, which reproduces the serial
-//! truncation prefix exactly.
-//!
-//! ## Probe reduction layers
-//!
-//! Three composable layers cut probe work without changing results (every
-//! layer preserves the byte-identical-frontier invariant):
-//!
-//! 1. **Time-bucketed indexes** (`EngineConfig::time_bucket_join`): steps
-//!    with temporal relations to already-placed patterns build a
-//!    [`StepIndex::Timed`] — posting lists carry dense start/end time
-//!    columns plus per-chunk start-bucket zone maps over a [`BucketGrid`]
-//!    sized from the candidate time range. The probe hoists each tuple's
-//!    admissible start/end intervals out of the per-match loop (computed
-//!    once from the placed events), skips whole chunks whose bucket zone
-//!    cannot intersect, and verifies survivors against the dense time
-//!    columns — no per-match partition `locate` or time-column re-read.
-//! 2. **Key-partitioned probe** (`EngineConfig::partitioned_probe`): when
-//!    the index is sharded, the parallel drive re-partitions by join key —
-//!    shard `k` keeps only frontier tuples hashing to `k` and probes its
-//!    local index shard. Appends are recorded as per-tuple runs and merged
-//!    in ascending frontier order, which is exactly the serial traversal.
-//! 3. **Sideways filter pushdown** (`EngineConfig::sideways_filters`):
-//!    scans publish bitmap domains of their candidates' subject/object
-//!    ids; the join prunes each step's build with the placed partners'
-//!    domains, pre-filters probes against the step's own domains, and
-//!    prunes the seed frontier with the second step's domains before any
-//!    tuple exists. All pruned work counts into `filter_pruned`.
-//!
-//! ## Blocked demand-driven drive
-//!
-//! With `EngineConfig::blocked_join_drive` (the default for ≥ 2-pattern
-//! queries on the ref path), the breadth-first step loop is replaced by a
-//! pull-based drive: the seed frontier is taken in runs of
-//! `join_block_tuples` seed tuples, and each run is driven depth-first
-//! through *every* remaining step before the next run starts. The
-//! per-step indexes are still built once, up front, exactly as the
-//! breadth-first drive builds them.
+//! The reference (`EventRef`) join has one drive, for any pattern count.
+//! Every step's index is built once, up front. The seed frontier is then
+//! taken in runs of `join_block_tuples` seed tuples (slices of the proto
+//! tuple's single bucket), and each run is driven depth-first through
+//! *every* remaining step before the next run starts.
 //!
 //! Within a run the recursion is *chunked*: a non-final step consumes its
 //! input frontier in [`EXPAND_CHUNK`]-tuple windows, probes one window
 //! into the level's reused scratch arena (one **expansion**, capped at
 //! `max_intermediate` tuples), and recurses on the expansion before the
 //! next window runs. The final step appends straight into the drive's
-//! output arena — survivors are never copied again. Windows run in input
-//! order and the recursion is depth-first, so the output is in
-//! nested-loop emission order: **byte-identical** to breadth-first
-//! whenever no cap trips, and a *prefix in nested-loop emission order* of
-//! the untruncated result when `max_intermediate` (or a governor budget)
-//! trips — a strictly stronger contract than breadth-first truncation
-//! (which keeps cap-sized prefixes of each intermediate frontier
-//! instead). The win is emission-bound queries: once the output cap
+//! output arena — survivors are never copied again. In a one-pattern join
+//! the seed step is the final step, so each seed run appends straight into
+//! the output. Windows run in input order and the recursion is
+//! depth-first, so the output is in nested-loop emission order: the full
+//! result whenever no cap trips, and a *prefix in nested-loop emission
+//! order* of the untruncated result when `max_intermediate` (or a governor
+//! budget) trips. The win is emission-bound queries: once the output cap
 //! fills, every unconsumed window — and every remaining seed run — is
-//! never driven at all, where breadth-first would have materialized
-//! cap-sized frontiers at every step first. Live intermediate memory is
-//! bounded by the per-level scratch high-water marks instead of
+//! never driven at all, where a breadth-first drive would have
+//! materialized cap-sized frontiers at every step first. Live intermediate
+//! memory is bounded by the per-level scratch high-water marks instead of
 //! whole-step frontiers.
 //!
 //! Cap/truncation semantics: the seed expansion is exempt from the
@@ -110,8 +56,45 @@
 //! serial drive keeps its own partial emission (either way a valid
 //! emission-order prefix).
 //!
+//! ## Parallel join
+//!
+//! With `EngineConfig::parallel_join`, a seed spanning two or more runs
+//! (and at least `parallel_join_min_work` tuples) has its runs sharded
+//! over the shared scan executor. Each run appends into a private arena;
+//! runs merge back **in ascending seed order**, so the output is
+//! byte-identical to the serial drive.
+//!
+//! For large candidate lists on steps with bound variables, the step's
+//! hash index is itself built in parallel: candidates scatter into
+//! key-hash shards on the executor, each shard's map is gathered in
+//! candidate order, and probes hash to their shard ([`StepIndex`]) — the
+//! index contents (and therefore the output) are byte-identical to the
+//! serial build. `OpStat` splits the join's time into `build_nanos` vs
+//! `probe_nanos` so the two parallelisms are separately visible.
+//!
+//! ## Probe reduction layers
+//!
+//! Two composable layers cut probe work without changing results:
+//!
+//! 1. **Time-bucketed indexes** (`EngineConfig::time_bucket_join`): steps
+//!    with temporal relations to already-placed patterns build a
+//!    [`StepIndex::Timed`] — posting lists carry dense start/end time
+//!    columns plus per-chunk start-bucket zone maps over a [`BucketGrid`]
+//!    sized from the candidate time range. The probe hoists each tuple's
+//!    admissible start/end intervals out of the per-match loop (computed
+//!    once from the placed events), skips whole chunks whose bucket zone
+//!    cannot intersect, and verifies survivors against the dense time
+//!    columns — no per-match partition `locate` or time-column re-read.
+//! 2. **Sideways filter pushdown** (`EngineConfig::sideways_filters`):
+//!    scans publish bitmap domains of their candidates' subject/object
+//!    ids; the join prunes each step's build with the placed partners'
+//!    domains, pre-filters probes against the step's own domains, and
+//!    prunes the seed frontier with the second step's domains before any
+//!    tuple exists. All pruned work counts into `filter_pruned`.
+//!
 //! The materializing path (`late_materialization = false`, the seed's
-//! pipeline) joins `Event` batches serially, kept for ablation.
+//! pipeline) joins `Event` batches breadth-first and serially, kept for
+//! ablation.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -130,9 +113,9 @@ use crate::op::{
     PipelineState, RefArena, Tuple, NO_REF, NO_VAR,
 };
 
-/// How many appended tuples a join partition produces between refreshes of
-/// its shared-budget cap. Bounds how far a partition can overshoot the
-/// budget before it notices earlier partitions have already filled it.
+/// How many appended tuples a parallel seed run produces between refreshes
+/// of its shared-budget cap. Bounds how far a run can overshoot the budget
+/// before it notices earlier runs have already filled it.
 const BUDGET_REFRESH: usize = 4096;
 
 /// Target bucket count of a timed index's [`BucketGrid`]. The bucket width
@@ -242,9 +225,10 @@ impl Operator for TemporalJoin {
 }
 
 /// Aggregate accounting of one join execution: truncation, widest
-/// partition/shard fan-out, the per-phase timing split (index builds vs
-/// frontier probes, summed over join steps), the probe-reduction counters,
-/// and the per-step breakdown for EXPLAIN ANALYZE.
+/// worker/shard fan-out, the per-phase timing split (index builds vs
+/// probes, summed over join steps), the probe-reduction counters, the
+/// drive's emission counters, and the per-step breakdown for EXPLAIN
+/// ANALYZE. The materializing join fills only the first four.
 #[derive(Debug, Clone, Default)]
 struct JoinRun {
     truncated: bool,
@@ -254,32 +238,31 @@ struct JoinRun {
     probe_hits: u64,
     bucket_skipped: u64,
     filter_pruned: u64,
-    /// Blocked drive only: seed runs merged into the output.
+    /// Seed runs merged into the output.
     runs_driven: u64,
-    /// Blocked drive only: tuples appended across all merged runs' steps.
+    /// Tuples appended across all merged runs' steps.
     emitted_tuples: u64,
-    /// Blocked drive only: what the breadth-first drive would have emitted
-    /// (exact when the drive completed; the per-step cap bound when it
-    /// exited early).
+    /// What a breadth-first drive would have emitted (exact when the drive
+    /// completed; the per-step cap bound when it exited early).
     breadth_bound_tuples: u64,
-    /// Blocked drive only: the step depth at which the drive stopped
-    /// emitting (`None` = every run was driven to completion).
+    /// The step depth at which the drive stopped emitting (`None` = every
+    /// run was driven to completion).
     early_exit_depth: Option<usize>,
     steps: Vec<JoinStepStat>,
 }
 
-/// Join-step partition count for `work` probe items, or `None` for serial.
-pub(crate) fn join_partitions(env: &ExecEnv<'_>, work: usize) -> Option<usize> {
+/// Whether the drive may fan a seed of `seeds` tuples out over the scan
+/// executor (it still needs at least two seed runs to do so).
+fn fans_out(env: &ExecEnv<'_>, seeds: usize) -> bool {
     if !env.config.parallel_join || env.pool.is_none() {
-        return None;
+        return false;
     }
     if env.config.join_partitions > 0 {
-        // Explicit partition count: force the parallel path (tests and
-        // ablations exercise tiny frontiers through it).
-        (work >= 2).then_some(env.config.join_partitions.min(work))
+        // Explicit fan-out: force the parallel drive (tests and ablations
+        // exercise tiny seeds through it).
+        seeds >= 2
     } else {
-        let threads = env.config.parallelism.max(1);
-        (threads > 1 && work >= env.config.parallel_join_min_work).then(|| (threads * 4).min(work))
+        env.config.parallelism > 1 && seeds >= env.config.parallel_join_min_work
     }
 }
 
@@ -528,8 +511,8 @@ fn index_shards(env: &ExecEnv<'_>, candidates: usize, bound: bool) -> Option<usi
         return None;
     }
     if env.config.join_partitions > 0 {
-        // Explicit partition count: force the sharded build (tests and
-        // ablations exercise tiny candidate lists through it).
+        // Explicit fan-out: force the sharded build (tests and ablations
+        // exercise tiny candidate lists through it).
         (candidates >= 2).then_some(env.config.join_partitions.min(candidates))
     } else {
         let threads = env.config.parallelism.max(1);
@@ -687,31 +670,30 @@ fn build_index(
     ))
 }
 
-/// Shared truncation budget of one parallel join step. `produced[k]` is a
-/// monotone running count of partition `k`'s appended tuples (published
-/// every [`BUDGET_REFRESH`] appends and at completion), so any partition
-/// can compute a lower bound on the tuples committed before it in merge
-/// order — a running count can only grow toward its final value, so the
-/// bound stays sound. Publishing progress (not just completion) keeps the
-/// peak intermediate memory of a truncating step near `max` plus a
-/// refresh-interval of slack per partition, instead of `max` *per
-/// partition*.
+/// Shared output budget of one parallel drive. `produced[k]` is a
+/// monotone running count of seed run `k`'s output tuples (published
+/// every [`BUDGET_REFRESH`] appends and at completion), so any run can
+/// compute a lower bound on the tuples committed before it in merge order
+/// — a running count can only grow toward its final value, so the bound
+/// stays sound. Publishing progress (not just completion) keeps the peak
+/// output memory of a truncating drive near `max` plus a refresh-interval
+/// of slack per run, instead of `max` *per run*.
 struct JoinBudget {
     max: usize,
     produced: Vec<AtomicUsize>,
 }
 
 impl JoinBudget {
-    fn new(max: usize, partitions: usize) -> Self {
+    fn new(max: usize, runs: usize) -> Self {
         JoinBudget {
             max,
-            produced: (0..partitions).map(|_| AtomicUsize::new(0)).collect(),
+            produced: (0..runs).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
-    /// Upper bound on how many tuples partition `k` could still contribute
-    /// to the merged frontier. Earlier partitions' published counts only
-    /// push this down, never up, so acting on a stale value is sound.
+    /// Upper bound on how many tuples run `k` could still contribute to
+    /// the merged output. Earlier runs' published counts only push this
+    /// down, never up, so acting on a stale value is sound.
     fn cap(&self, k: usize) -> usize {
         let committed_before: usize = self.produced[..k]
             .iter()
@@ -720,16 +702,15 @@ impl JoinBudget {
         self.max.saturating_sub(committed_before)
     }
 
-    /// Publishes partition `k`'s running (monotone) tuple count.
+    /// Publishes run `k`'s running (monotone) tuple count.
     fn publish(&self, k: usize, produced: usize) {
         self.produced[k].store(produced, Ordering::Release);
     }
 }
 
-/// Append-budget tracker of one join drive: stops the drive at `cap`
-/// appended tuples, periodically tightening the cap from the shared
-/// budget (parallel partitions only — the serial drive's cap is fixed at
-/// `max_intermediate`).
+/// Append-budget tracker of one probe loop: stops it at `cap` appended
+/// tuples, periodically tightening the cap from the shared budget
+/// (parallel seed runs' output only — every other cap is fixed).
 struct CapTracker<'b> {
     cap: usize,
     shared: Option<(&'b JoinBudget, usize)>,
@@ -770,8 +751,8 @@ impl<'b> CapTracker<'b> {
     /// Called after each append with the drive's output length; `true`
     /// means stop (the budget is exhausted, or the governor tripped — see
     /// `gov_stop`). The cap only ever shrinks, so stopping is final. On
-    /// each refresh the drive's own progress is published, tightening the
-    /// caps of later partitions while this one is still running.
+    /// each refresh the run's own progress is published, tightening the
+    /// caps of later runs while this one is still running.
     #[inline]
     fn exhausted(&mut self, len: usize) -> bool {
         if len >= self.next_refresh {
@@ -787,16 +768,6 @@ impl<'b> CapTracker<'b> {
         }
         len >= self.cap
     }
-}
-
-/// One join-step drive's output: the extended frontier, whether the row
-/// cap truncated it, and whether it ran to completion (`complete = false`
-/// means a governor trip stopped the drive early; the output is a prefix
-/// of the untripped step output).
-struct StepOut {
-    arena: RefArena,
-    truncated: bool,
-    complete: bool,
 }
 
 /// Join order shared by the ref and materializing paths (they must emit
@@ -835,306 +806,67 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Multi-way hash join over per-pattern *reference* lists: the tuple
-/// frontier lives in a flat [`RefArena`] (no per-tuple allocation). Returns
-/// the final frontier plus the run accounting (truncation, widest fan-out,
-/// build/probe timing split).
-///
-/// Governor integration: the memory budget converts to a deterministic row
-/// cap at each step start (`remaining_bytes / tuple_bytes`, min'd into
-/// `max_intermediate`), so serial and parallel execution truncate at the
-/// same tuple. Deadline/cancel trips stop the running drive at its next
-/// poll; in partial mode the remaining steps then run ungoverned so the
-/// preserved prefix completes (a prefix of any step's input extends to a
-/// prefix of the final frontier), in error mode the trip unwinds here.
-fn join_refs(
+/// Sideways seed pruning (layer 2): drops seed candidates whose
+/// shared-variable ids are absent from the *second* step's candidate
+/// domains — such tuples probe a missing key at step two and extend
+/// nothing. Restricting the filter to the second step keeps the output
+/// byte-identical to the unfiltered run even under a truncating
+/// `max_intermediate`: a dropped tuple appends zero tuples at step two, so
+/// every surviving append happens at the same position. Gated off under a
+/// memory budget (the drive live-charges seed expansions, whose size
+/// pruning changes) and when the seed list itself exceeds the cap.
+/// Returns `None` when no check applies.
+fn sideways_seed_prune(
     env: &ExecEnv<'_>,
-    candidates: Vec<Vec<EventRef>>,
+    candidates: &[Vec<EventRef>],
     domains: &[Option<(IdSet, IdSet)>],
-) -> Result<(RefArena, JoinRun), EngineError> {
-    let a = env.a;
-    let parts = &env.parts;
-    let n = a.patterns.len();
-    let nvars = a.vars.len();
-    let tuple_bytes =
-        (n * std::mem::size_of::<EventRef>() + nvars * std::mem::size_of::<u32>()) as u64;
-    // Cleared after a partial-mode trip: the remaining steps complete the
-    // preserved prefix without further governance.
-    let mut gov = env.gov();
-    let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
-    let join_order = plan_join_order(a, &sizes);
-
-    // Sideways seed pruning (layer 3): before the first step seeds the
-    // frontier, drop seed candidates whose shared-variable ids are absent
-    // from the *second* step's candidate domains — such tuples probe a
-    // missing key at step two and extend nothing. Restricting the filter
-    // to the second step keeps the frontier byte-identical to the
-    // unfiltered run even under a truncating `max_intermediate`: a dropped
-    // tuple appends zero tuples at step two, so every surviving append
-    // happens at the same position. Gated off under a memory budget (the
-    // per-step row cap derives from live frontier bytes, which pruning
-    // changes) and when the seed list itself could truncate.
-    let mut seed_pruned: Option<Vec<EventRef>> = None;
-    let mut seed_pruned_count: u64 = 0;
-    if env.config.sideways_filters
-        && n >= 2
-        && gov.is_none_or(|g| !g.has_memory_budget())
-        && candidates[join_order[0]].len() <= env.config.max_intermediate
+    join_order: &[usize],
+) -> Option<Vec<EventRef>> {
+    if !env.config.sideways_filters
+        || join_order.len() < 2
+        || env.gov().is_some_and(|g| g.has_memory_budget())
+        || candidates[join_order[0]].len() > env.config.max_intermediate
     {
-        let seed = join_order[0];
-        let second = join_order[1];
-        if let Some((subj, obj)) = &domains[second] {
-            let sp = &a.patterns[seed];
-            let qp = &a.patterns[second];
-            // For every variable the seed shares with the second pattern:
-            // (read the seed candidate's subject side?, partner domain).
-            let mut checks: Vec<(bool, &IdSet)> = Vec::new();
-            for (v, seed_is_subject) in [(sp.subject, true), (sp.object, false)] {
-                if qp.subject == v {
-                    checks.push((seed_is_subject, subj));
-                }
-                if qp.object == v && qp.object != qp.subject {
-                    checks.push((seed_is_subject, obj));
-                }
-            }
-            if !checks.is_empty() {
-                let kept: Vec<EventRef> = candidates[seed]
-                    .iter()
-                    .copied()
-                    .filter(|&r| {
-                        checks.iter().all(|&(is_subj, set)| {
-                            let id = if is_subj {
-                                parts.subject(r)
-                            } else {
-                                parts.object(r)
-                            };
-                            set.contains(id)
-                        })
-                    })
-                    .collect();
-                seed_pruned_count = (candidates[seed].len() - kept.len()) as u64;
-                seed_pruned = Some(kept);
-            }
+        return None;
+    }
+    let parts = &env.parts;
+    let (seed, second) = (join_order[0], join_order[1]);
+    let (subj, obj) = domains[second].as_ref()?;
+    let sp = &env.a.patterns[seed];
+    let qp = &env.a.patterns[second];
+    // For every variable the seed shares with the second pattern: (read
+    // the seed candidate's subject side?, partner domain).
+    let mut checks: Vec<(bool, &IdSet)> = Vec::new();
+    for (v, seed_is_subject) in [(sp.subject, true), (sp.object, false)] {
+        if qp.subject == v {
+            checks.push((seed_is_subject, subj));
+        }
+        if qp.object == v && qp.object != qp.subject {
+            checks.push((seed_is_subject, obj));
         }
     }
-
-    if env.config.blocked_join_drive && n >= 2 {
-        let seed = join_order[0];
-        let seed_refs: &[EventRef] = seed_pruned.as_deref().unwrap_or(&candidates[seed]);
-        return join_refs_blocked(
-            env,
-            &candidates,
-            domains,
-            &join_order,
-            seed_refs,
-            seed_pruned_count,
-        );
+    if checks.is_empty() {
+        return None;
     }
-
-    let mut tuples = RefArena::new(n, nvars);
-    tuples.resize_tuples(1);
-    let mut run = JoinRun {
-        fanout: 1,
-        ..JoinRun::default()
-    };
-    let mut placed = vec![false; n];
-
-    for &i in &join_order {
-        let p = &a.patterns[i];
-        let same_var = p.subject == p.object;
-        // A pattern binds at most two variables, so the bound-var key
-        // packs into one u64.
-        let pattern_vars: [usize; 2] = [p.subject, p.object];
-        let proto_vars = tuples.vars_of(0);
-        let bound_vars: Vec<usize> = pattern_vars
+    Some(
+        candidates[seed]
             .iter()
-            .take(if same_var { 1 } else { 2 })
             .copied()
-            .filter(|&v| proto_vars[v] != NO_VAR)
-            .collect();
-        let mut counters = StepCounters::default();
-        let seed_step = i == join_order[0];
-        if seed_step {
-            counters.filter_pruned += seed_pruned_count;
-        }
-        let base_refs: &[EventRef] = if seed_step {
-            seed_pruned.as_deref().unwrap_or(&candidates[i])
-        } else {
-            &candidates[i]
-        };
-        let build_pruned = sideways_build_prune(
-            env,
-            domains,
-            &placed,
-            i,
-            &bound_vars,
-            base_refs,
-            &mut counters.filter_pruned,
-        );
-        let refs: &[EventRef] = build_pruned.as_deref().unwrap_or(base_refs);
-        let key_of_ref = |r: EventRef| {
-            let mut ids = [NO_VAR; 2];
-            for (slot, &v) in ids.iter_mut().zip(&bound_vars) {
-                *slot = if v == p.subject {
-                    parts.subject(r).raw()
-                } else {
-                    parts.object(r).raw()
-                };
-            }
-            pack(ids)
-        };
-        // Temporal relations this step must verify (layer 1): with any
-        // present and `time_bucket_join` on, the index carries time
-        // columns and bucket zones for probe-side pruning.
-        let rels = a.step_relations(i, &placed);
-        let timed = env.config.time_bucket_join && !rels.is_empty();
-        let t_build = Instant::now();
-        let index = build_index(
-            env,
-            refs,
-            same_var,
-            &key_of_ref,
-            !bound_vars.is_empty(),
-            timed,
-        )?;
-        let step_build = t_build.elapsed().as_nanos() as u64;
-        run.build_nanos += step_build;
-        let mut step_fanout = index.shard_count();
-
-        // Effective row cap of this step: `max_intermediate`, tightened by
-        // the memory budget converted to rows. Reading `remaining_bytes`
-        // happens on the query thread between steps, so the cap — and
-        // therefore the truncation point — is identical for the serial and
-        // parallel drives.
-        let mut cap = env.config.max_intermediate;
-        let mut mem_capped = false;
-        if let Some(g) = gov {
-            if g.has_memory_budget() {
-                let rows = (g.remaining_bytes() / tuple_bytes) as usize;
-                if rows < cap {
-                    cap = rows;
-                    mem_capped = true;
-                }
-            }
-        }
-
-        let step = JoinStep {
-            env,
-            parts,
-            a,
-            index: &index,
-            bound_vars: &bound_vars,
-            rels: &rels,
-            // Probe-side pre-filter (layer 3): the step's own candidate
-            // domains reject keys that cannot be in the index without
-            // hashing (misses by construction, so results are unchanged).
-            domains: if env.config.sideways_filters {
-                domains[i].as_ref()
-            } else {
-                None
-            },
-            pattern: i,
-            subject: p.subject,
-            object: p.object,
-        };
-        // Probe work of this step: frontier tuples — except at the very
-        // first step, whose single proto tuple probes one bucket holding
-        // every candidate (partitioning that bucket follows storage
-        // partition order, since candidates are collected that way).
-        let single_proto = tuples.len() == 1 && bound_vars.is_empty();
-        let work = if single_proto {
-            step.index.posting_len(pack([NO_VAR; 2]))
-        } else {
-            tuples.len()
-        };
-        let t_probe = Instant::now();
-        let out = if cap == 0 {
-            // The budget is already spent: drives would overshoot a zero
-            // cap by one in the serial case, so short-circuit to the empty
-            // (still valid) prefix on both drives.
-            StepOut {
-                arena: RefArena::new(n, nvars),
-                truncated: true,
-                complete: true,
-            }
-        } else {
-            match join_partitions(env, work) {
-                Some(nparts)
-                    if env.config.partitioned_probe
-                        && !single_proto
-                        && !bound_vars.is_empty()
-                        && index.shard_count() > 1 =>
-                {
-                    // Key-partitioned drive (layer 2): probe partitioning
-                    // aligned with the sharded build.
-                    let _ = nparts;
-                    step_fanout = step_fanout.max(index.shard_count());
-                    step.partitioned(&tuples, cap, gov, &mut counters)?
-                }
-                Some(nparts) => {
-                    step_fanout = step_fanout.max(nparts);
-                    step.parallel(&tuples, nparts, single_proto, cap, gov, &mut counters)?
-                }
-                None => step.serial(&tuples, cap, gov, &mut counters),
-            }
-        };
-        let step_probe = t_probe.elapsed().as_nanos() as u64;
-        run.probe_nanos += step_probe;
-        run.fanout = run.fanout.max(step_fanout);
-        let prev_bytes = tuples.len() as u64 * tuple_bytes;
-        let step_truncated = out.truncated;
-        let step_complete = out.complete;
-        tuples = out.arena;
-        if let Some(g) = gov {
-            // A drive only stops early after observing (and recording) a
-            // trip, so the sticky trip below is the single source of truth.
-            debug_assert!(step_complete || g.trip().is_some());
-            // Swap the frontier's accounted bytes: the old frontier is
-            // dropped, the new one is live.
-            g.uncharge(prev_bytes);
-            let _ = g.charge(tuples.len() as u64 * tuple_bytes);
-            if mem_capped && step_truncated {
-                // Hitting the memory-derived cap is a Memory trip, not the
-                // `TooManyMatches` truncation.
-                g.record(Trip::Memory);
-            }
-            if let Some(t) = g.trip() {
-                if !g.partial() {
-                    return Err(g.error(t));
-                }
-                gov = None;
-            } else {
-                run.truncated |= step_truncated;
-            }
-        } else {
-            run.truncated |= step_truncated;
-        }
-        run.probe_hits += counters.probe_hits;
-        run.bucket_skipped += counters.bucket_skipped;
-        run.filter_pruned += counters.filter_pruned;
-        run.steps.push(JoinStepStat {
-            pattern: i,
-            candidates: refs.len(),
-            rows_out: tuples.len(),
-            probes: counters.probes,
-            probe_hits: counters.probe_hits,
-            bucket_skipped: counters.bucket_skipped,
-            filter_pruned: counters.filter_pruned,
-            buckets: index.buckets(),
-            bucket_width_micros: index.bucket_width(),
-            build_nanos: step_build,
-            probe_nanos: step_probe,
-            fanout: step_fanout,
-        });
-        placed[i] = true;
-        if tuples.len() == 0 {
-            return Ok((tuples, run));
-        }
-    }
-    Ok((tuples, run))
+            .filter(|&r| {
+                checks.iter().all(|&(is_subj, set)| {
+                    let id = if is_subj {
+                        parts.subject(r)
+                    } else {
+                        parts.object(r)
+                    };
+                    set.contains(id)
+                })
+            })
+            .collect(),
+    )
 }
 
-/// Sideways build-side pruning (layer 3) for the step placing pattern `i`:
+/// Sideways build-side pruning (layer 2) for the step placing pattern `i`:
 /// drop candidates whose bound-variable ids are absent from some
 /// already-placed partner pattern's candidate domain. The frontier only
 /// ever carries ids drawn from every placed binder's domain, so a dropped
@@ -1198,19 +930,25 @@ fn sideways_build_prune(
     Some(kept)
 }
 
-/// One pre-built step of the blocked drive: the per-step state the
-/// breadth-first loop derives lazily between steps, computed up front.
-/// Bound variables come from simulating variable placement over the join
-/// order — identical to the proto-tuple bindings the breadth-first drive
-/// reads, since every placed pattern binds its subject and object in
-/// every tuple.
-struct BlockedStep {
+/// One pre-built join step: the pattern it places, the variables already
+/// bound when it runs, the temporal relations it verifies, and its
+/// candidate index. Bound variables come from simulating variable
+/// placement over the join order, since every placed pattern binds its
+/// subject and object in every tuple.
+struct JoinStep<'s> {
+    parts: &'s PartTable<'s>,
+    a: &'s AnalyzedMultievent,
     pattern: usize,
     subject: usize,
     object: usize,
     bound_vars: Vec<usize>,
+    /// Temporal relations to already-placed patterns (layer 1's per-tuple
+    /// admissible intervals derive from these).
     rels: Vec<StepRel>,
     index: StepIndex,
+    /// This step's own candidate (subject, object) domains, when the
+    /// sideways pre-filter is on.
+    domains: Option<&'s (IdSet, IdSet)>,
     /// Candidate refs indexed (after sideways build pruning).
     candidates: usize,
     /// Candidates dropped by sideways build pruning (a per-step constant,
@@ -1219,20 +957,19 @@ struct BlockedStep {
     build_nanos: u64,
 }
 
-/// Control flow of the blocked drive's recursion: `Stop` ends the whole
-/// drive — the output cap filled, an expansion cut the run, or the
-/// governor tripped (the [`RunState`] flags say which).
+/// Control flow of the drive's recursion: `Stop` ends the whole drive —
+/// the output cap filled, an expansion cut the run, or the governor
+/// tripped (the [`RunState`] flags say which).
 #[derive(Clone, Copy, PartialEq)]
 enum Flow {
     Continue,
     Stop,
 }
 
-/// Mutable state of one blocked drive: the per-level reused scratch
-/// arenas plus the accounting the recursion accumulates. The serial drive
-/// threads one `RunState` through every run, so each level's scratch
-/// grows to its high-water mark once; the parallel drive gives each run
-/// its own.
+/// Mutable state of one drive: the per-level reused scratch arenas plus
+/// the accounting the recursion accumulates. The serial drive threads one
+/// `RunState` through every run, so each level's scratch grows to its
+/// high-water mark once; the parallel drive gives each run its own.
 struct RunState {
     /// `levels[0]` holds the current run's seed expansion and `levels[j]`
     /// step `j`'s scratch output (`truncate(0)` between windows keeps
@@ -1282,12 +1019,10 @@ struct RunOut {
     gov_stop: bool,
 }
 
-/// The blocked drive's shared read-only state: the pre-built steps plus
-/// everything a worker needs to drive one seed run depth-first.
-struct BlockedDrive<'s, 'a> {
-    env: &'s ExecEnv<'a>,
-    steps: &'s [BlockedStep],
-    domains: &'s [Option<(IdSet, IdSet)>],
+/// The drive's shared read-only state: the pre-built steps plus everything
+/// a worker needs to drive one seed run depth-first.
+struct BlockedDrive<'s> {
+    steps: &'s [JoinStep<'s>],
     /// The single proto tuple the seed slice probes from.
     proto: RefArena,
     /// Expansion (non-seed, non-final) row cap: `max_intermediate`.
@@ -1299,52 +1034,44 @@ struct BlockedDrive<'s, 'a> {
     tuple_bytes: u64,
 }
 
-impl BlockedDrive<'_, '_> {
-    fn step_of(&self, j: usize) -> JoinStep<'_, '_> {
-        let s = &self.steps[j];
-        JoinStep {
-            env: self.env,
-            parts: &self.env.parts,
-            a: self.env.a,
-            index: &s.index,
-            bound_vars: &s.bound_vars,
-            rels: &s.rels,
-            domains: if self.env.config.sideways_filters {
-                self.domains[s.pattern].as_ref()
-            } else {
-                None
-            },
-            pattern: s.pattern,
-            subject: s.subject,
-            object: s.object,
-        }
-    }
-
-    /// Probes step `j` for tuples `[lo, hi)` of `cur`, appending into
-    /// `next`. Returns `(capped, gov_stop)`.
+impl BlockedDrive<'_> {
+    /// Probes step `j` for tuples `[lo, hi)` of `cur` into `next` under
+    /// `caps` — each probe restricted to the match slice `slice` when set
+    /// (the seed step's run of the proto tuple's single bucket) — and
+    /// records the step's time, counters, and appended tuples in `st`.
+    /// Returns whether `caps` filled; a governor stop sets `st.gov_stop`.
     #[allow(clippy::too_many_arguments)]
-    fn probe_window(
+    fn probe_step(
         &self,
         j: usize,
         cur: &RefArena,
         lo: usize,
         hi: usize,
+        slice: Option<(usize, usize)>,
         next: &mut RefArena,
         caps: &mut CapTracker<'_>,
-        ctr: &mut StepCounters,
+        st: &mut RunState,
         gov: Option<&Governor>,
-    ) -> (bool, bool) {
-        let js = self.step_of(j);
+    ) -> bool {
+        let step = &self.steps[j];
+        let before = next.len();
+        let t0 = Instant::now();
         let mut gate = GovGate::new(gov);
+        let mut capped = false;
         for t in lo..hi {
             if gate.tick().is_some() {
-                return (false, true);
+                st.gov_stop = true;
+                break;
             }
-            if js.probe_into(cur, t, None, None, next, caps, ctr) {
-                return (!caps.gov_stop, caps.gov_stop);
+            if step.probe_into(cur, t, slice, next, caps, &mut st.ctrs[j]) {
+                st.gov_stop |= caps.gov_stop;
+                capped = !caps.gov_stop;
+                break;
             }
         }
-        (false, false)
+        st.nanos[j] += t0.elapsed().as_nanos() as u64;
+        st.rows[j] += (next.len() - before) as u64;
+        capped
     }
 
     /// Live memory accounting (serial drive under a memory budget only):
@@ -1376,13 +1103,55 @@ impl BlockedDrive<'_, '_> {
         }
     }
 
+    /// The final step: probes every tuple of `cur` (within `slice`, see
+    /// [`Self::probe_step`]) straight into `out` under `out_caps`. The
+    /// appended output stays live, so it is charged permanently.
+    fn emit(
+        &self,
+        cur: &RefArena,
+        slice: Option<(usize, usize)>,
+        st: &mut RunState,
+        out: &mut RefArena,
+        out_caps: &mut CapTracker<'_>,
+        gov: Option<&Governor>,
+    ) -> Flow {
+        let before = out.len();
+        let j = self.steps.len() - 1;
+        let capped = self.probe_step(j, cur, 0, cur.len(), slice, out, out_caps, st, gov);
+        let charged = self.charge_live(st, gov, (out.len() - before) as u64 * self.tuple_bytes);
+        if capped || st.gov_stop || charged == Flow::Stop {
+            Flow::Stop
+        } else {
+            Flow::Continue
+        }
+    }
+
+    /// Recurses on expansion `cur` through steps `j..`, live-charging its
+    /// bytes while the subtree runs.
+    fn descend(
+        &self,
+        j: usize,
+        cur: &RefArena,
+        st: &mut RunState,
+        out: &mut RefArena,
+        out_caps: &mut CapTracker<'_>,
+        gov: Option<&Governor>,
+    ) -> Flow {
+        let bytes = cur.len() as u64 * self.tuple_bytes;
+        if self.charge_live(st, gov, bytes) == Flow::Stop {
+            return Flow::Stop;
+        }
+        let flow = self.expand(j, cur, st, out, out_caps, gov);
+        self.uncharge(gov, bytes);
+        flow
+    }
+
     /// Expands frontier `cur` through steps `j..` depth-first (see the
     /// module docs): a non-final level windows `cur` into
     /// [`EXPAND_CHUNK`]-tuple probes, each filling the level's reused
     /// scratch (one expansion, at most `icap` tuples) and recursing on it
     /// before the next window runs; the final step appends straight into
     /// `out` under `out_caps`.
-    #[allow(clippy::too_many_arguments)]
     fn expand(
         &self,
         j: usize,
@@ -1392,55 +1161,17 @@ impl BlockedDrive<'_, '_> {
         out_caps: &mut CapTracker<'_>,
         gov: Option<&Governor>,
     ) -> Flow {
-        let m = self.steps.len();
-        if j == m - 1 {
-            let before = out.len();
-            let t = Instant::now();
-            let mut ctr = StepCounters::default();
-            let (capped, gov_stop) =
-                self.probe_window(j, cur, 0, cur.len(), out, out_caps, &mut ctr, gov);
-            st.nanos[j] += t.elapsed().as_nanos() as u64;
-            st.ctrs[j].merge(&ctr);
-            let delta = (out.len() - before) as u64;
-            st.rows[j] += delta;
-            // Appended output stays live: charge it permanently.
-            let charged = self.charge_live(st, gov, delta * self.tuple_bytes);
-            if gov_stop {
-                st.gov_stop = true;
-                return Flow::Stop;
-            }
-            if charged == Flow::Stop || capped {
-                return Flow::Stop;
-            }
-            return Flow::Continue;
+        if j == self.steps.len() - 1 {
+            return self.emit(cur, None, st, out, out_caps, gov);
         }
         let mut scratch = std::mem::take(&mut st.levels[j]);
         let mut flow = Flow::Continue;
-        let mut lo = 0;
-        while lo < cur.len() {
+        for lo in (0..cur.len()).step_by(EXPAND_CHUNK) {
             let hi = (lo + EXPAND_CHUNK).min(cur.len());
             scratch.truncate(0);
-            let t = Instant::now();
-            let mut ctr = StepCounters::default();
             let mut caps = CapTracker::fixed(self.icap, gov);
-            let (capped, gov_stop) =
-                self.probe_window(j, cur, lo, hi, &mut scratch, &mut caps, &mut ctr, gov);
-            st.nanos[j] += t.elapsed().as_nanos() as u64;
-            st.ctrs[j].merge(&ctr);
-            st.rows[j] += scratch.len() as u64;
-            if gov_stop {
-                st.gov_stop = true;
-                flow = Flow::Stop;
-                break;
-            }
-            let bytes = scratch.len() as u64 * self.tuple_bytes;
-            if self.charge_live(st, gov, bytes) == Flow::Stop {
-                flow = Flow::Stop;
-                break;
-            }
-            let sub = self.expand(j + 1, &scratch, st, out, out_caps, gov);
-            self.uncharge(gov, bytes);
-            if sub == Flow::Stop {
+            let capped = self.probe_step(j, cur, lo, hi, None, &mut scratch, &mut caps, st, gov);
+            if st.gov_stop || self.descend(j + 1, &scratch, st, out, out_caps, gov) == Flow::Stop {
                 flow = Flow::Stop;
                 break;
             }
@@ -1452,17 +1183,18 @@ impl BlockedDrive<'_, '_> {
                 flow = Flow::Stop;
                 break;
             }
-            lo = hi;
         }
         st.levels[j] = scratch;
         flow
     }
 
-    /// Drives seed slice `[lo, hi)` depth-first through every step: the
-    /// seed expansion first (exempt from the intermediate cap — it is
-    /// bounded by the block size by construction, which keeps sideways
-    /// seed pruning emission-invariant under truncation), then the
-    /// chunked recursion over the remaining steps.
+    /// Drives seed slice `[lo, hi)` depth-first through every step. A
+    /// one-pattern join's seed step is its final step, so the slice
+    /// appends straight into `out`. Otherwise the seed expansion comes
+    /// first (exempt from the intermediate cap — it is bounded by the
+    /// block size by construction, which keeps sideways seed pruning
+    /// emission-invariant under truncation), then the chunked recursion
+    /// over the remaining steps.
     fn drive_run(
         &self,
         lo: usize,
@@ -1472,71 +1204,67 @@ impl BlockedDrive<'_, '_> {
         out_caps: &mut CapTracker<'_>,
         gov: Option<&Governor>,
     ) -> Flow {
-        let t0 = Instant::now();
+        if self.steps.len() == 1 {
+            return self.emit(&self.proto, Some((lo, hi)), st, out, out_caps, gov);
+        }
         let mut seedbuf = std::mem::take(&mut st.levels[0]);
         seedbuf.truncate(0);
+        // An uncapped tracker only stops on a governor trip.
         let mut caps = CapTracker::fixed(usize::MAX, gov);
-        let mut ctr = StepCounters::default();
-        let js = self.step_of(0);
-        let stopped = js.probe_into(
+        self.probe_step(
+            0,
             &self.proto,
             0,
+            1,
             Some((lo, hi)),
-            None,
             &mut seedbuf,
             &mut caps,
-            &mut ctr,
+            st,
+            gov,
         );
-        st.nanos[0] += t0.elapsed().as_nanos() as u64;
-        st.ctrs[0].merge(&ctr);
-        st.rows[0] += seedbuf.len() as u64;
-        let flow = if stopped {
-            // An uncapped tracker only stops on a governor trip.
-            st.gov_stop = true;
+        let flow = if st.gov_stop {
             Flow::Stop
         } else {
-            let bytes = seedbuf.len() as u64 * self.tuple_bytes;
-            if self.charge_live(st, gov, bytes) == Flow::Stop {
-                Flow::Stop
-            } else {
-                let flow = self.expand(1, &seedbuf, st, out, out_caps, gov);
-                self.uncharge(gov, bytes);
-                flow
-            }
+            self.descend(1, &seedbuf, st, out, out_caps, gov)
         };
         st.levels[0] = seedbuf;
         flow
     }
 }
 
-/// The blocked demand-driven drive (see the module docs): per-step
-/// indexes built once up front, then the seed frontier driven depth-first
-/// in bounded runs, merged in ascending seed order.
-fn join_refs_blocked(
+/// Multi-way hash join over per-pattern *reference* lists — the blocked
+/// demand-driven drive (see the module docs): plan the join order, prune
+/// the seed sideways, build every step's index once up front, then drive
+/// the seed frontier depth-first in bounded runs, merged in ascending seed
+/// order into one flat [`RefArena`] (no per-tuple allocation). Returns the
+/// output plus the run accounting (truncation, widest fan-out, build/probe
+/// timing split, emission counters).
+fn join_refs(
     env: &ExecEnv<'_>,
-    candidates: &[Vec<EventRef>],
+    candidates: Vec<Vec<EventRef>>,
     domains: &[Option<(IdSet, IdSet)>],
-    join_order: &[usize],
-    seed_refs: &[EventRef],
-    seed_pruned_count: u64,
 ) -> Result<(RefArena, JoinRun), EngineError> {
     let a = env.a;
     let n = a.patterns.len();
     let nvars = a.vars.len();
-    let m = join_order.len();
     let tuple_bytes =
         (n * std::mem::size_of::<EventRef>() + nvars * std::mem::size_of::<u32>()) as u64;
     let gov = env.gov();
     let out_cap = env.config.max_intermediate;
+    let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
+    let join_order = plan_join_order(a, &sizes);
+    let m = join_order.len();
+    let seed_pruned = sideways_seed_prune(env, &candidates, domains, &join_order);
+    let seed_refs: &[EventRef] = seed_pruned.as_deref().unwrap_or(&candidates[join_order[0]]);
+    let seed_pruned_count = (candidates[join_order[0]].len() - seed_refs.len()) as u64;
     let mut run = JoinRun {
         fanout: 1,
         ..JoinRun::default()
     };
 
-    // Build every step's index up front — the same builds, in the same
-    // join order, as the breadth-first loop.
+    // Build every step's index up front, in join order.
     let parts = &env.parts;
-    let mut steps: Vec<BlockedStep> = Vec::with_capacity(m);
+    let mut steps: Vec<JoinStep<'_>> = Vec::with_capacity(m);
     let mut placed = vec![false; n];
     let mut var_bound = vec![false; nvars];
     for (ord, &i) in join_order.iter().enumerate() {
@@ -1586,10 +1314,20 @@ fn join_refs_blocked(
         let build_nanos = t_build.elapsed().as_nanos() as u64;
         run.build_nanos += build_nanos;
         run.fanout = run.fanout.max(index.shard_count());
-        steps.push(BlockedStep {
+        steps.push(JoinStep {
+            parts,
+            a,
             pattern: i,
             subject: p.subject,
             object: p.object,
+            // Probe-side pre-filter (layer 2): the step's own candidate
+            // domains reject keys that cannot be in the index without
+            // hashing (misses by construction, so results are unchanged).
+            domains: if env.config.sideways_filters {
+                domains[i].as_ref()
+            } else {
+                None
+            },
             candidates: refs.len(),
             candidate_pruned,
             bound_vars,
@@ -1608,10 +1346,11 @@ fn join_refs_blocked(
 
     // Output arena reserved to the drive's worst case — seed size times
     // the remaining steps' indexed-ref counts — clamped by the output cap
-    // and the same 4 Mi-tuple lid the breadth-first per-step reservation
-    // uses. Selective queries reserve small; emission-bound ones fill the
-    // reservation exactly (the final step appends here directly, so this
-    // is the only output allocation of the serial drive).
+    // and a 4 Mi-tuple lid, so a pathological `max_intermediate` cannot
+    // reserve the moon. Selective queries reserve small; emission-bound
+    // ones fill the reservation exactly (the final step appends here
+    // directly, so this is the only output allocation of the serial
+    // drive).
     let out_bound = steps[1..]
         .iter()
         .fold(seed_total, |b, s| b.saturating_mul(s.index.total_refs()))
@@ -1628,7 +1367,7 @@ fn join_refs_blocked(
 
     if out_cap == 0 {
         // The cap is already spent (a zero `max_intermediate`): the empty
-        // prefix is the whole answer, as in the breadth-first drive.
+        // prefix is the whole answer.
         truncated = true;
     } else if seed_total > 0 {
         let block = env
@@ -1639,9 +1378,7 @@ fn join_refs_blocked(
         let nruns = seed_total.div_ceil(block);
         let charge = gov.is_some_and(|g| g.has_memory_budget());
         let drive = BlockedDrive {
-            env,
             steps: &steps,
-            domains,
             proto,
             icap: out_cap,
             charge,
@@ -1650,7 +1387,7 @@ fn join_refs_blocked(
         let workers = env.config.parallelism.max(1);
         // A memory budget forces the serial drive: live charging yields a
         // deterministic trip point only with a single observer.
-        let parallel = nruns >= 2 && !charge && join_partitions(env, seed_total).is_some();
+        let parallel = nruns >= 2 && !charge && fans_out(env, seed_total);
         let t_probe = Instant::now();
         if parallel {
             let Some(pool) = env.pool.as_ref() else {
@@ -1816,8 +1553,8 @@ fn join_refs_blocked(
     Ok((out, run))
 }
 
-/// Per-drive probe-reduction counters, merged across partitions/shards
-/// into the step's [`JoinStepStat`].
+/// Per-step probe-reduction counters, merged across seed runs into the
+/// step's [`JoinStepStat`].
 #[derive(Debug, Clone, Copy, Default)]
 struct StepCounters {
     /// Index lookups attempted (after the sideways pre-filter).
@@ -1840,47 +1577,25 @@ impl StepCounters {
     }
 }
 
-/// One ref-join step: everything shared by its serial and parallel drives.
-struct JoinStep<'s, 'a> {
-    env: &'s ExecEnv<'a>,
-    parts: &'s PartTable<'a>,
-    a: &'s AnalyzedMultievent,
-    index: &'s StepIndex,
-    bound_vars: &'s [usize],
-    /// Temporal relations to already-placed patterns (layer 1's per-tuple
-    /// admissible intervals derive from these).
-    rels: &'s [StepRel],
-    /// This step's own candidate (subject, object) domains, when the
-    /// sideways pre-filter is on.
-    domains: Option<&'s (IdSet, IdSet)>,
-    pattern: usize,
-    subject: usize,
-    object: usize,
-}
-
-impl JoinStep<'_, '_> {
+impl JoinStep<'_> {
     /// Probes the index for tuple `t` (restricted to the match-slice range
-    /// `[mlo, mhi)` when partitioning a single proto tuple; pass the full
-    /// range otherwise) and appends surviving extensions to `out`. `shard`
-    /// pins the lookup to one index shard (the key-partitioned drive,
-    /// which routed the tuple already); `None` routes by key hash. Returns
-    /// `true` when the tracker's budget was exhausted — the caller must
-    /// stop its drive.
-    #[allow(clippy::too_many_arguments)]
+    /// `[mlo, mhi)` when slicing the single proto tuple into seed runs;
+    /// `None` = every match) and appends surviving extensions to `out`.
+    /// Returns `true` when the tracker's budget was exhausted — the caller
+    /// must stop its drive.
     #[inline]
     fn probe_into(
         &self,
         tuples: &RefArena,
         t: usize,
         range: Option<(usize, usize)>,
-        shard: Option<usize>,
         out: &mut RefArena,
         caps: &mut CapTracker<'_>,
         ctr: &mut StepCounters,
     ) -> bool {
         let tvars = tuples.vars_of(t);
         let mut ids = [NO_VAR; 2];
-        for (slot, &v) in ids.iter_mut().zip(self.bound_vars) {
+        for (slot, &v) in ids.iter_mut().zip(&self.bound_vars) {
             *slot = tvars[v];
         }
         // Sideways pre-filter: a bound id outside this step's candidate
@@ -1896,10 +1611,9 @@ impl JoinStep<'_, '_> {
         }
         let key = pack(ids);
         ctr.probes += 1;
-        match self.index {
+        match &self.index {
             StepIndex::Plain(shards) => {
-                let k = shard.unwrap_or_else(|| route(key, shards.len()));
-                let Some(matches) = shards[k].get(&key) else {
+                let Some(matches) = shards[route(key, shards.len())].get(&key) else {
                     return false;
                 };
                 ctr.probe_hits += 1;
@@ -1925,8 +1639,7 @@ impl JoinStep<'_, '_> {
             }
             StepIndex::Timed { shards, grid } => {
                 debug_assert!(range.is_none(), "timed index never slices a proto bucket");
-                let k = shard.unwrap_or_else(|| route(key, shards.len()));
-                let Some(p) = shards[k].get(&key) else {
+                let Some(p) = shards[route(key, shards.len())].get(&key) else {
                     return false;
                 };
                 ctr.probe_hits += 1;
@@ -1936,7 +1649,7 @@ impl JoinStep<'_, '_> {
                 let events = tuples.events_of(t);
                 let (mut slo, mut shi) = (i64::MIN, i64::MAX);
                 let (mut elo, mut ehi) = (i64::MIN, i64::MAX);
-                for rel in self.rels {
+                for rel in &self.rels {
                     let placed = events[rel.other];
                     if rel.cand_is_left {
                         // cand.end ≤ placed.start; a bound floors cand.end.
@@ -1996,296 +1709,6 @@ impl JoinStep<'_, '_> {
             }
         }
     }
-
-    /// The serial drive: identical traversal to the pre-operator fused
-    /// loop. `cap` is the step's effective row cap; `gov` is polled every
-    /// [`crate::governor::GOV_CHECK_INTERVAL`] tuples (and inside dense
-    /// append runs via the tracker).
-    fn serial(
-        &self,
-        tuples: &RefArena,
-        cap: usize,
-        gov: Option<&Governor>,
-        ctr: &mut StepCounters,
-    ) -> StepOut {
-        let mut caps = CapTracker::fixed(cap, gov);
-        // Reserve for the worst-case emission — every frontier tuple hits
-        // every indexed ref — clamped by the row cap and a 4 Mi-tuple
-        // ceiling so a pathological `max_intermediate` cannot reserve the
-        // moon. Cap-bound steps fill the reservation exactly; small steps
-        // reserve small, keeping short queries allocation-light.
-        let bound = tuples
-            .len()
-            .saturating_mul(self.index.total_refs())
-            .min(cap)
-            .min(1 << 22);
-        let mut next = RefArena::with_capacity_tuples(tuples.npatterns, tuples.nvars, bound);
-        let mut truncated = false;
-        let mut gate = GovGate::new(gov);
-        for t in 0..tuples.len() {
-            if gate.tick().is_some() {
-                caps.gov_stop = true;
-                break;
-            }
-            if self.probe_into(tuples, t, None, None, &mut next, &mut caps, ctr) {
-                truncated = !caps.gov_stop;
-                break;
-            }
-        }
-        StepOut {
-            complete: !caps.gov_stop,
-            arena: next,
-            truncated,
-        }
-    }
-
-    /// The parallel drive: contiguous probe-range partitions on the scan
-    /// executor, merged in partition order. A governor trip is observed by
-    /// every partition (the trip is sticky and shared), each stops at its
-    /// next poll, and the merge keeps complete partials in partition order
-    /// up to the first incomplete one plus that partition's prefix — a
-    /// prefix of the serial traversal.
-    fn parallel(
-        &self,
-        tuples: &RefArena,
-        nparts: usize,
-        single_proto: bool,
-        cap: usize,
-        gov: Option<&Governor>,
-        ctr: &mut StepCounters,
-    ) -> Result<StepOut, EngineError> {
-        let env = self.env;
-        let Some(pool) = env.pool.as_ref() else {
-            return Err(crate::op::internal(
-                "parallel join scheduled without a scan executor",
-            ));
-        };
-        let work = if single_proto {
-            self.index.posting_len(pack([NO_VAR; 2]))
-        } else {
-            tuples.len()
-        };
-        let nparts = nparts.min(work).max(1);
-        let per = work.div_ceil(nparts);
-        let budget = JoinBudget::new(cap, nparts);
-        let partials: Vec<std::sync::Mutex<(RefArena, bool, StepCounters)>> = (0..nparts)
-            .map(|_| std::sync::Mutex::new((RefArena::default(), true, StepCounters::default())))
-            .collect();
-
-        pool.run_chunks_capped(nparts, env.config.parallelism.max(1), &|k| {
-            // Rounding up `per` can leave trailing partitions empty; clamp
-            // both bounds so their ranges are empty instead of invalid.
-            let lo = (k * per).min(work);
-            let hi = (lo + per).min(work);
-            let mut out = RefArena::new(tuples.npatterns, tuples.nvars);
-            let mut caps = CapTracker::shared(&budget, k, gov);
-            let mut local = StepCounters::default();
-            if single_proto {
-                // Partitioning the first pattern: the proto tuple's single
-                // bucket, sliced to the candidate range [lo, hi).
-                self.probe_into(
-                    tuples,
-                    0,
-                    Some((lo, hi)),
-                    None,
-                    &mut out,
-                    &mut caps,
-                    &mut local,
-                );
-            } else {
-                let mut gate = GovGate::new(gov);
-                for t in lo..hi {
-                    if gate.tick().is_some() {
-                        caps.gov_stop = true;
-                        break;
-                    }
-                    if self.probe_into(tuples, t, None, None, &mut out, &mut caps, &mut local) {
-                        break;
-                    }
-                }
-            }
-            budget.publish(k, out.len());
-            *crate::op::lock_clean(&partials[k]) = (out, !caps.gov_stop, local);
-        })
-        .map_err(worker_panic)?;
-
-        let partials: Vec<(RefArena, bool, StepCounters)> =
-            partials.into_iter().map(crate::op::unwrap_clean).collect();
-        for (_, _, local) in &partials {
-            ctr.merge(local);
-        }
-        let total: usize = partials.iter().map(|(a, _, _)| a.len()).sum();
-        let keep = total.min(cap);
-        let mut merged = RefArena::new(tuples.npatterns, tuples.nvars);
-        merged.events.reserve_exact(keep * tuples.npatterns);
-        merged.vars.reserve_exact(keep * tuples.nvars);
-        let mut complete = true;
-        for (part, part_complete, _) in &partials {
-            let room = keep - merged.len();
-            merged.append_prefix(part, room);
-            if !part_complete {
-                // Later partitions' tuples would follow tuples this
-                // partition never produced; dropping them keeps the merge
-                // a prefix of the serial traversal.
-                complete = false;
-                break;
-            }
-        }
-        // The serial loop flags truncation as soon as the frontier reaches
-        // the cap. Early-stopped partitions only stop once the counts
-        // published before them plus their own output reach the cap, so
-        // `total` hits it exactly when the serial loop would have flagged —
-        // and the merged prefix is the serial prefix.
-        Ok(StepOut {
-            truncated: complete && total >= cap,
-            complete,
-            arena: merged,
-        })
-    }
-
-    /// The key-partitioned parallel drive (layer 2): instead of contiguous
-    /// frontier ranges all probing the full shared index, shard `k` scans
-    /// the whole frontier, keeps only tuples whose join key hashes to `k`,
-    /// and probes its local index shard — probe partitioning aligned with
-    /// the scatter/gather build, so no shard touches another's hash map.
-    /// Appends are recorded as `(frontier tuple, count)` runs; every
-    /// frontier tuple is owned by exactly one shard, so merging runs in
-    /// ascending frontier order reproduces the serial traversal
-    /// byte-for-byte.
-    ///
-    /// Budgeting: each shard stops at the full row cap on its own (the
-    /// contiguous drive's shared prefix budget keys on *partition* order,
-    /// which is meaningless here), so a truncating step can transiently
-    /// hold up to `shards × cap` tuples; the merge truncates to the exact
-    /// serial prefix. A governor stop discards the shard's mid-tuple
-    /// partial run and the merge stops at the smallest stopped tuple,
-    /// keeping the output a prefix of the untripped traversal.
-    fn partitioned(
-        &self,
-        tuples: &RefArena,
-        cap: usize,
-        gov: Option<&Governor>,
-        ctr: &mut StepCounters,
-    ) -> Result<StepOut, EngineError> {
-        let env = self.env;
-        let Some(pool) = env.pool.as_ref() else {
-            return Err(crate::op::internal(
-                "partitioned join probe scheduled without a scan executor",
-            ));
-        };
-        let ns = self.index.shard_count();
-        let ntuples = tuples.len();
-        #[derive(Default)]
-        struct ShardRun {
-            arena: RefArena,
-            /// (frontier tuple, appended count) per probed tuple with
-            /// output, in frontier order.
-            runs: Vec<(u32, u32)>,
-            /// First frontier tuple this shard did *not* fully probe
-            /// (meaningful only with `gov_stop`).
-            cut: u32,
-            gov_stop: bool,
-            ctr: StepCounters,
-        }
-        let slots: Vec<Mutex<ShardRun>> =
-            (0..ns).map(|_| Mutex::new(ShardRun::default())).collect();
-        pool.run_chunks_capped(ns, env.config.parallelism.max(1), &|k| {
-            let mut out = RefArena::new(tuples.npatterns, tuples.nvars);
-            let mut runs: Vec<(u32, u32)> = Vec::new();
-            let mut caps = CapTracker::fixed(cap, gov);
-            let mut gate = GovGate::new(gov);
-            let mut local = StepCounters::default();
-            let mut cut = ntuples as u32;
-            let mut gov_stop = false;
-            for t in 0..ntuples {
-                if gate.tick().is_some() {
-                    gov_stop = true;
-                    cut = t as u32;
-                    break;
-                }
-                let tvars = tuples.vars_of(t);
-                let mut ids = [NO_VAR; 2];
-                for (slot, &v) in ids.iter_mut().zip(self.bound_vars) {
-                    *slot = tvars[v];
-                }
-                if route(pack(ids), ns) != k {
-                    continue;
-                }
-                let before = out.len();
-                let stop =
-                    self.probe_into(tuples, t, None, Some(k), &mut out, &mut caps, &mut local);
-                if stop && caps.gov_stop {
-                    // Discard the mid-tuple partial append run: the merge
-                    // then cuts at a clean tuple boundary.
-                    out.truncate(before);
-                    gov_stop = true;
-                    cut = t as u32;
-                    break;
-                }
-                if out.len() > before {
-                    runs.push((t as u32, (out.len() - before) as u32));
-                }
-                if stop {
-                    // Row cap reached: later runs of this shard are never
-                    // needed — by the time the merge would reach them, the
-                    // appends recorded before them already fill the cap.
-                    break;
-                }
-            }
-            *crate::op::lock_clean(&slots[k]) = ShardRun {
-                arena: out,
-                runs,
-                cut,
-                gov_stop,
-                ctr: local,
-            };
-        })
-        .map_err(worker_panic)?;
-        let shards: Vec<ShardRun> = slots.into_iter().map(crate::op::unwrap_clean).collect();
-        for s in &shards {
-            ctr.merge(&s.ctr);
-        }
-        let gov_stopped = shards.iter().any(|s| s.gov_stop);
-        let gov_cut: u32 = shards
-            .iter()
-            .filter(|s| s.gov_stop)
-            .map(|s| s.cut)
-            .min()
-            .unwrap_or(u32::MAX);
-        let mut merged = RefArena::new(tuples.npatterns, tuples.nvars);
-        let mut ridx = vec![0usize; ns];
-        let mut consumed = vec![0usize; ns];
-        loop {
-            // Next run in frontier order: each tuple is owned by one
-            // shard, so the smallest head across shards is the serial
-            // successor.
-            let mut best: Option<(u32, usize)> = None;
-            for (k, s) in shards.iter().enumerate() {
-                if let Some(&(t, _)) = s.runs.get(ridx[k]) {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, k));
-                    }
-                }
-            }
-            let Some((t, k)) = best else { break };
-            if t >= gov_cut {
-                break;
-            }
-            let count = shards[k].runs[ridx[k]].1 as usize;
-            let take = count.min(cap - merged.len());
-            merged.append_range(&shards[k].arena, consumed[k], take);
-            consumed[k] += count;
-            ridx[k] += 1;
-            if merged.len() >= cap {
-                break;
-            }
-        }
-        Ok(StepOut {
-            truncated: !gov_stopped && merged.len() >= cap,
-            complete: !gov_stopped,
-            arena: merged,
-        })
-    }
 }
 
 /// Temporal verification of the ref join, reading only the time columns.
@@ -2324,10 +1747,12 @@ fn temporal_ok_refs(
 }
 
 /// The seed's materializing join (kept intact for the ablation benches):
-/// candidates are full events and the frontier clones them per tuple. The
-/// governor integrates the same way as [`join_refs`] — deterministic row
-/// caps from the memory budget, per-tuple deadline/cancel polls, partial
-/// mode completing the preserved prefix ungoverned.
+/// candidates are full events and the frontier clones them per tuple,
+/// breadth-first, one whole step at a time. Governor integration: the
+/// memory budget converts to a deterministic row cap at each step start
+/// (`remaining_bytes / tuple_bytes`, min'd into `max_intermediate`);
+/// deadline/cancel trips are polled per tuple, and partial mode completes
+/// the preserved prefix ungoverned.
 fn join_events(
     env: &ExecEnv<'_>,
     candidates: Vec<Vec<Event>>,

@@ -167,16 +167,6 @@ impl RefArena {
         self.ntuples += take;
     }
 
-    /// Appends `count` tuples of `src` starting at tuple `from` (the
-    /// run-at-a-time merge of the key-partitioned join drive).
-    pub(crate) fn append_range(&mut self, src: &RefArena, from: usize, count: usize) {
-        self.events
-            .extend_from_slice(&src.events[from * self.npatterns..(from + count) * self.npatterns]);
-        self.vars
-            .extend_from_slice(&src.vars[from * self.nvars..(from + count) * self.nvars]);
-        self.ntuples += count;
-    }
-
     /// Drops every tuple past the first `len` (discarding a mid-tuple
     /// partial append run after a governor stop).
     pub(crate) fn truncate(&mut self, len: usize) {
@@ -565,17 +555,17 @@ pub struct OpStat {
     /// Build candidates, seed tuples, and probes eliminated by sideways
     /// bitmap filters (joins only, `sideways_filters`).
     pub filter_pruned: u64,
-    /// Seed runs driven to completion by the blocked join drive (joins
-    /// only, `blocked_join_drive`; 0 = breadth-first drive).
+    /// Seed runs the blocked join drive merged into its output (reference
+    /// joins only; 0 for the materializing join or an empty seed).
     pub runs_driven: u64,
     /// Joins: tuples actually emitted across all join steps of the merged
-    /// runs (blocked drive only). `Project`/`Aggregate`: result rows
+    /// runs (reference joins only). `Project`/`Aggregate`: result rows
     /// materialized before order by and limit — after distinct, so a
     /// distinct projection over N tuples counts its distinct rows, not N.
     pub emitted_tuples: u64,
-    /// Tuples the breadth-first drive would have emitted for the same
+    /// Tuples a breadth-first drive would have emitted for the same
     /// result — the demand-driven saving is the gap to `emitted_tuples`
-    /// (blocked drive only).
+    /// (reference joins only).
     pub breadth_bound_tuples: u64,
     /// Join-order step depth at which the blocked drive stopped emitting
     /// (`None` = every run driven to completion).
@@ -593,7 +583,7 @@ pub struct JoinStepStat {
     pub pattern: usize,
     /// Candidate refs indexed (after sideways build pruning).
     pub candidates: usize,
-    /// Frontier tuples after the step.
+    /// Tuples the step emitted (summed over the merged seed runs).
     pub rows_out: usize,
     /// Index probes attempted (after sideways probe skips).
     pub probes: u64,
@@ -611,8 +601,8 @@ pub struct JoinStepStat {
     pub build_nanos: u64,
     /// Probe time of this step.
     pub probe_nanos: u64,
-    /// Probe fan-out of this step (1 = serial; key-partitioned drives fan
-    /// out one task per index shard).
+    /// Index build fan-out of this step (1 = serial build; otherwise the
+    /// key-hash shard count).
     pub fanout: usize,
 }
 

@@ -1,26 +1,27 @@
-//! Differential property tests for the blocked demand-driven join drive
-//! (PR 10).
+//! Property tests for the blocked demand-driven join drive, the only
+//! drive of the reference (`EventRef`) join.
 //!
-//! The blocked drive replaces the breadth-first step loop with depth-first
-//! frontier runs (see `op/join.rs` module docs). Its contract, asserted
-//! here against randomized stores:
+//! The drive takes the seed frontier in runs and drives each run
+//! depth-first through every remaining step (see `op/join.rs` module
+//! docs). Its contract, asserted here against randomized stores and
+//! one- to four-pattern queries:
 //!
-//! * **uncapped byte-identity** — with no cap tripping, the blocked drive
-//!   returns tables byte-identical (rows AND order, truncation flag
-//!   included) to the breadth-first drive, across the whole
-//!   ⟨late-materialization, parallel-join, time-bucket, partitioned-probe,
-//!   sideways-filter⟩ cube and block sizes 1 / 7 / 4096;
+//! * **independent references** — uncapped, the drive returns the
+//!   brute-force oracle's rows (as a multiset) and the materializing
+//!   join's rows in the same order with the same `truncated` flag, across
+//!   the ⟨parallel-join, time-bucket, sideways-filter⟩ cube and block
+//!   sizes 1 / 7 / 4096;
 //! * **emission-order prefix under truncation** — with `max_intermediate`
-//!   truncating, the blocked output is a prefix (in nested-loop emission
-//!   order) of the *untruncated* result — stronger than breadth-first's
-//!   per-step truncation, which is only compared against itself — and the
-//!   serial and parallel blocked drives agree byte-for-byte;
+//!   truncating, the output is a prefix (in nested-loop emission order)
+//!   of the untruncated result, and the serial and parallel drives agree
+//!   byte-for-byte;
 //! * **governed modes** — under a memory budget, error mode either
 //!   reproduces the ungoverned result or fails with the structured
 //!   `MemoryBudget` error; partial mode always returns an emission-order
 //!   prefix of the ungoverned result.
 
-use aiql_engine::{Engine, EngineConfig, EngineError, ExecBudget};
+use aiql_engine::reference;
+use aiql_engine::{analyze_multievent, Engine, EngineConfig, EngineError, ExecBudget};
 use aiql_lang::parse_query;
 use aiql_model::{AgentId, Operation, Timestamp};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
@@ -70,11 +71,19 @@ fn build_store(raws: &[RawEvent]) -> EventStore {
 }
 
 /// Multievent queries spanning seed shapes the drive cares about:
-/// unbounded and bounded chains, a branching 3-pattern, and an aggregate.
-/// All but the last are non-aggregated so row order observes tuple
-/// emission order directly.
+/// unbounded and bounded chains, a branching 3-pattern, one-pattern
+/// lookups (flat, distinct, grouped — the seed step is the final step),
+/// and aggregates. The flat and distinct ones observe tuple emission order
+/// directly in their row order.
 fn query_catalog() -> Vec<&'static str> {
     vec![
+        r#"proc p write file f as e
+           return p, f"#,
+        r#"proc p read file f as e
+           return distinct p, f"#,
+        r#"proc p write file f as e
+           return p, count(e.amount) as n
+           group by p"#,
         r#"proc p1 write file f as e1
            proc p2 read file f as e2
            with e1 before e2
@@ -103,8 +112,9 @@ fn query_catalog() -> Vec<&'static str> {
     ]
 }
 
-/// The non-aggregated subset: prefix assertions need rows that map 1:1 to
-/// emitted join tuples.
+/// The non-aggregated subset: prefix assertions need rows that follow
+/// the emitted join tuples in order (flat rows map 1:1; distinct keeps
+/// each row's first occurrence, so a tuple prefix yields a row prefix).
 fn prefix_catalog() -> Vec<&'static str> {
     query_catalog()
         .into_iter()
@@ -115,55 +125,54 @@ fn prefix_catalog() -> Vec<&'static str> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// With no cap tripping, the blocked drive is byte-identical to the
-    /// breadth-first drive at every point of the configuration cube and
-    /// every block size.
+    /// With no cap tripping, the drive returns the oracle's rows and the
+    /// materializing join's rows in order, at every point of the
+    /// configuration cube and every block size. Neither reference shares
+    /// probe code with the drive.
     #[test]
-    fn blocked_drive_matches_breadth_first_exactly(
+    fn blocked_drive_matches_reference_and_materializing_join(
         raws in proptest::collection::vec(arb_raw(), 1..150),
-        flags in 0u32..32,
+        flags in 0u32..8,
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
-        let late_materialization = flags & 1 != 0;
-        let parallel_join = flags & 2 != 0;
-        let time_bucket_join = flags & 4 != 0;
-        let partitioned_probe = flags & 8 != 0;
-        let sideways_filters = flags & 16 != 0;
         let store = build_store(&raws);
-        let shared = EngineConfig {
-            late_materialization,
-            parallel_join,
-            time_bucket_join,
-            partitioned_probe,
-            sideways_filters,
+        let blocked = Engine::new(EngineConfig {
+            parallel_join: flags & 1 != 0,
+            time_bucket_join: flags & 2 != 0,
+            sideways_filters: flags & 4 != 0,
+            join_block_tuples: block,
             join_partitions: 3,
             parallelism: 4,
             shared_scan_pool: false,
             parallel_threshold: 0,
             parallel_join_min_work: 0,
             ..EngineConfig::default()
-        };
-        let breadth = Engine::new(EngineConfig {
-            blocked_join_drive: false,
-            ..shared.clone()
         });
-        let blocked = Engine::new(EngineConfig {
-            blocked_join_drive: true,
-            join_block_tuples: block,
-            ..shared
+        let materializing = Engine::new(EngineConfig {
+            late_materialization: false,
+            ..EngineConfig::default()
         });
         for src in query_catalog() {
             let q = parse_query(src).unwrap();
-            let want = breadth.execute(&store, &q).unwrap();
+            let aiql_lang::Query::Multievent(m) = &q else { panic!() };
             let got = blocked.execute(&store, &q).unwrap();
+            let oracle = reference::run_reference(&store, &analyze_multievent(m, &store).unwrap())
+                .unwrap()
+                .normalized();
+            prop_assert_eq!(
+                &got.clone().normalized().rows, &oracle.rows,
+                "query {:?} flags {:03b} block {}: rows differ from the oracle ({} vs {})",
+                src, flags, block, got.rows.len(), oracle.rows.len()
+            );
+            let want = materializing.execute(&store, &q).unwrap();
             prop_assert_eq!(
                 &want.rows, &got.rows,
-                "query {:?} flags {:05b} block {}: rows/order differ ({} vs {})",
-                src, flags, block, want.rows.len(), got.rows.len()
+                "query {:?} flags {:03b} block {}: row order differs from the materializing join",
+                src, flags, block
             );
             prop_assert_eq!(
                 want.truncated, got.truncated,
-                "query {:?} flags {:05b} block {}: truncation flag differs",
+                "query {:?} flags {:03b} block {}: truncation flag differs",
                 src, flags, block
             );
         }

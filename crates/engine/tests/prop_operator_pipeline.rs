@@ -205,33 +205,30 @@ proptest! {
 
     /// The probe-reduction layers (PR 8) return tables byte-identical to
     /// the layers-off serial join across the whole flag cube: time-bucket
-    /// × partitioned-probe × sideways-filter × serial/parallel drive ×
-    /// truncating `max_intermediate`. Bounded `before[...]` relations make
+    /// × sideways-filter × serial/parallel drive × truncating
+    /// `max_intermediate`. Bounded `before[...]` relations make
     /// the bucket ranges finite on both sides.
     #[test]
     fn probe_layers_match_layers_off_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
-        flags in 0u32..16,
+        flags in 0u32..8,
         max_intermediate in prop_oneof![
             Just(1usize), Just(2), Just(7), Just(100), Just(4_000_000)
         ],
     ) {
         let time_bucket_join = flags & 1 != 0;
-        let partitioned_probe = flags & 2 != 0;
-        let sideways_filters = flags & 4 != 0;
-        let parallel_join = flags & 8 != 0;
+        let sideways_filters = flags & 2 != 0;
+        let parallel_join = flags & 4 != 0;
         let store = build_store(&raws);
         let reference = Engine::new(EngineConfig {
             max_intermediate,
             time_bucket_join: false,
-            partitioned_probe: false,
             sideways_filters: false,
             ..serial_config()
         });
         let variant = Engine::new(EngineConfig {
             max_intermediate,
             time_bucket_join,
-            partitioned_probe,
             sideways_filters,
             parallel_join,
             join_partitions: 3,
@@ -260,12 +257,12 @@ proptest! {
             let got = variant.execute(&store, &q).unwrap();
             prop_assert_eq!(
                 &want.rows, &got.rows,
-                "query {:?} flags {:04b} max {}: rows/order differ ({} vs {})",
+                "query {:?} flags {:03b} max {}: rows/order differ ({} vs {})",
                 src, flags, max_intermediate, want.rows.len(), got.rows.len()
             );
             prop_assert_eq!(
                 want.truncated, got.truncated,
-                "query {:?} flags {:04b} max {}: truncation flag differs",
+                "query {:?} flags {:03b} max {}: truncation flag differs",
                 src, flags, max_intermediate
             );
         }
